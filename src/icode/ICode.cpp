@@ -9,6 +9,8 @@
 #include "support/StrUtil.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstring>
 
 using namespace spl;
 using namespace spl::icode;
@@ -406,6 +408,32 @@ std::uint64_t Program::dynamicOpCount() const {
     }
   }
   return Count;
+}
+
+std::string Program::tablesDigest() const {
+  // FNV-1a over 64-bit words: each table's length, then the bit patterns of
+  // its real parts. The shift folds high bits back down, so a change
+  // anywhere in a word reaches the whole digest. Word steps keep this at
+  // a fraction of a millisecond for the megabyte of twiddles a 2^16-point
+  // FFT carries.
+  std::uint64_t H = 1469598103934665603ull;
+  auto Mix = [&H](std::uint64_t W) {
+    H = (H ^ W) * 1099511628211ull;
+    H ^= H >> 32;
+  };
+  for (const std::vector<Cplx> &T : Tables) {
+    Mix(T.size());
+    for (const Cplx &V : T) {
+      const double Re = V.real();
+      std::uint64_t Bits;
+      std::memcpy(&Bits, &Re, sizeof(Bits));
+      Mix(Bits);
+    }
+  }
+  char Buf[17];
+  std::snprintf(Buf, sizeof(Buf), "%016llx",
+                static_cast<unsigned long long>(H));
+  return Buf;
 }
 
 std::string Program::verify() const {

@@ -220,6 +220,12 @@ struct Program {
   /// Constant tables produced by intrinsic evaluation.
   std::vector<std::vector<Cplx>> Tables;
 
+  /// 16-hex-digit digest of the tables' real parts, the values a kernel
+  /// emitted with external tables is bound to at run time. The emitters
+  /// print it into such sources, so a hash of the source (the kernel-cache
+  /// key) tells apart kernels that differ only in their tables.
+  std::string tablesDigest() const;
+
   /// Size of temporary vector with the given vector id (>= FirstTempVec).
   std::int64_t tempVecSize(int VecId) const {
     assert(VecId >= FirstTempVec &&

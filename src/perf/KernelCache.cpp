@@ -220,12 +220,14 @@ std::string KernelCache::key(const std::string &CSource,
   // Everything that can change the produced machine code, one line each.
   // The source text is folded to its own hash first so the payload stays
   // small; the outer hash is the cache key (docs/KERNEL_CACHE.md). v2
-  // added the codegen-variant line (scalar vs vector:<isa>).
+  // added the codegen-variant line (scalar vs vector:<isa>); v3 keys the
+  // flags the compiler really gets (with -ffp-contract=off) and sources
+  // that name their external tables' digest.
   std::string Payload;
-  Payload += "spl-kernelcache-key v2\n";
+  Payload += "spl-kernelcache-key v3\n";
   Payload += "host " + HostInfo::fingerprint() + "\n";
   Payload += "cc " + NativeModule::compilerIdentity() + "\n";
-  Payload += "flags " + ExtraFlags + "\n";
+  Payload += "flags " + NativeModule::compileFlags(ExtraFlags) + "\n";
   Payload += "variant " + (VariantTag.empty() ? "scalar" : VariantTag) + "\n";
   Payload += "fn " + FnName + "\n";
   Payload += "src " + fnv1aHex(CSource) + "\n";

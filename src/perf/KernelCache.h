@@ -14,9 +14,10 @@
 ///
 /// The cache key is an FNV-1a hash over everything that can change the
 /// produced machine code: a host fingerprint, the compiler identity
-/// (SPL_CC command plus its --version line), the extra compiler flags, the
-/// kernel entry-point name, and the hash of the emitted C source. The
-/// on-disk layout is one directory holding `<key>.so` artifacts plus a
+/// (SPL_CC command plus its --version line), the compiler flags
+/// (NativeModule::compileFlags), the kernel entry-point name, and the hash
+/// of the emitted C source, which names the digest of any external tables.
+/// The on-disk layout is one directory holding `<key>.so` artifacts plus a
 /// versioned, per-line-checksummed `index` (wisdom-v2 style: corrupt lines
 /// are skipped, counted, and rewritten clean; artifacts that fail their
 /// recorded checksum are dropped and recompiled — corruption degrades to a

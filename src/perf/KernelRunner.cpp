@@ -120,22 +120,17 @@ CompiledKernel::create(const icode::Program &Final, KernelError *Err,
       (Final.LoweredToReal ? Final.OutSize * 2 : Final.OutSize) * Lanes;
 
   if (!Final.Tables.empty()) {
+    std::vector<std::vector<double>> Tables;
     for (const auto &T : Final.Tables) {
       std::vector<double> Flat(T.size());
       for (size_t I = 0; I != T.size(); ++I)
         Flat[I] = T[I].real();
-      K->Tables.push_back(std::move(Flat));
+      Tables.push_back(std::move(Flat));
     }
-    using SetFn = void (*)(const double *const *);
     std::string SetName = Final.SubName + "_set_tables";
-    auto Set = reinterpret_cast<SetFn>(Mod->symbol(SetName.c_str()));
-    if (!Set)
+    if (!Mod->bindTables(SetName, std::move(Tables)))
       return Fail(KernelErrorKind::MissingSymbol,
                   "generated module lacks " + SetName);
-    std::vector<const double *> Ptrs;
-    for (const auto &T : K->Tables)
-      Ptrs.push_back(T.data());
-    Set(Ptrs.data());
   }
   K->Mod = std::move(Mod);
   return K;
@@ -158,8 +153,12 @@ CompiledKernel::trial(double TimeoutSeconds) const {
   const bool InjectHang = fault::at("trial-hang");
 
   auto Run = [&]() -> int {
-    if (InjectCrash)
+    if (InjectCrash) {
+      // Default disposition: a sanitizer's SEGV handler would otherwise
+      // turn the injected crash into a plain exit code.
+      std::signal(SIGSEGV, SIG_DFL);
       ::raise(SIGSEGV);
+    }
     if (InjectHang)
       std::this_thread::sleep_for(std::chrono::seconds(600));
     std::mt19937 Gen(17);

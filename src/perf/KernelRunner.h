@@ -133,9 +133,8 @@ public:
 private:
   CompiledKernel() = default;
 
-  std::unique_ptr<NativeModule> Mod;
+  std::unique_ptr<NativeModule> Mod; ///< Also owns the bound tables.
   NativeModule::KernelFn Fn = nullptr;
-  std::vector<std::vector<double>> Tables; ///< Must outlive the module use.
   std::int64_t InLen = 0, OutLen = 0;
   int Lanes = 1;
   codegen::CodegenVariant Variant = codegen::CodegenVariant::Scalar;

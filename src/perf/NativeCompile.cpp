@@ -19,6 +19,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
+#include <mutex>
 #include <sstream>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -109,8 +111,60 @@ SubprocessResult invokeCompiler(const std::vector<std::string> &Argv,
 
 } // namespace
 
+struct NativeModule::Library {
+  void *Handle = nullptr;
+  std::mutex M; ///< Guards the first bind of the tables.
+  bool Bound = false;
+  std::vector<std::vector<double>> Tables;
+
+  /// The live Library of every loaded handle. Never destroyed: modules
+  /// held by other static objects may unload after static destruction.
+  static std::mutex &registryMutex() {
+    static std::mutex *Mu = new std::mutex;
+    return *Mu;
+  }
+  static std::map<void *, std::weak_ptr<Library>> &registry() {
+    static auto *R = new std::map<void *, std::weak_ptr<Library>>;
+    return *R;
+  }
+
+  /// The shared state for \p Handle, which carries one fresh dlopen
+  /// reference: the first module on a handle creates it; a later one joins
+  /// it and gives its extra reference back.
+  static std::shared_ptr<Library> attach(void *Handle) {
+    std::lock_guard<std::mutex> Lock(registryMutex());
+    std::weak_ptr<Library> &Slot = registry()[Handle];
+    if (std::shared_ptr<Library> Live = Slot.lock()) {
+#if defined(SPL_HAVE_DLOPEN)
+      dlclose(Handle);
+#endif
+      return Live;
+    }
+    auto Fresh = std::make_shared<Library>();
+    Fresh->Handle = Handle;
+    Slot = Fresh;
+    return Fresh;
+  }
+
+  ~Library() {
+    std::lock_guard<std::mutex> Lock(registryMutex());
+    // A module that loaded the same file meanwhile may already have put a
+    // new Library in this slot; that one keeps its own reference.
+    auto It = registry().find(Handle);
+    if (It != registry().end() && It->second.expired())
+      registry().erase(It);
+#if defined(SPL_HAVE_DLOPEN)
+    dlclose(Handle);
+#endif
+  }
+};
+
 double NativeModule::compileTimeoutSeconds() {
   return envTimeoutSeconds("SPL_CC_TIMEOUT_MS", 60.0);
+}
+
+std::string NativeModule::compileFlags(const std::string &ExtraFlags) {
+  return ExtraFlags + " -ffp-contract=off";
 }
 
 bool NativeModule::available() {
@@ -160,7 +214,7 @@ NativeModule::loadModule(const std::string &SoPath, const std::string &FnName,
   }
 
   auto M = std::unique_ptr<NativeModule>(new NativeModule());
-  M->Handle = Handle;
+  M->Lib = Library::attach(Handle);
   M->Fn = reinterpret_cast<KernelFn>(Sym);
   M->SoPath = SoPath;
   M->OwnsSo = OwnsSo;
@@ -239,7 +293,7 @@ NativeModule::compileFresh(const std::string &CSource,
   }
 
   std::vector<std::string> Argv = ccArgv();
-  for (std::string &F : splitCommandArgs(ExtraFlags))
+  for (std::string &F : splitCommandArgs(compileFlags(ExtraFlags)))
     Argv.push_back(std::move(F));
   Argv.push_back("-shared");
   Argv.push_back("-fPIC");
@@ -356,17 +410,34 @@ NativeModule::compile(const std::string &CSource, const std::string &FnName,
 
 void *NativeModule::symbol(const char *Name) const {
 #if defined(SPL_HAVE_DLOPEN)
-  return Handle ? dlsym(Handle, Name) : nullptr;
+  return Lib ? dlsym(Lib->Handle, Name) : nullptr;
 #else
   (void)Name;
   return nullptr;
 #endif
 }
 
+bool NativeModule::bindTables(const std::string &SetName,
+                              std::vector<std::vector<double>> Tables) {
+  using SetFn = void (*)(const double *const *);
+  auto Set = reinterpret_cast<SetFn>(symbol(SetName.c_str()));
+  if (!Set)
+    return false;
+  std::lock_guard<std::mutex> Lock(Lib->M);
+  if (Lib->Bound)
+    return true;
+  Lib->Tables = std::move(Tables);
+  std::vector<const double *> Ptrs;
+  for (const std::vector<double> &T : Lib->Tables)
+    Ptrs.push_back(T.data());
+  Set(Ptrs.data());
+  Lib->Bound = true;
+  return true;
+}
+
 NativeModule::~NativeModule() {
+  Lib.reset(); // The last module on a handle unloads it.
 #if defined(SPL_HAVE_DLOPEN)
-  if (Handle)
-    dlclose(Handle);
   if (OwnsSo && !SoPath.empty())
     std::remove(SoPath.c_str());
 #endif

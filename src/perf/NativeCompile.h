@@ -34,6 +34,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace spl {
 namespace perf {
@@ -78,11 +79,29 @@ public:
   /// The per-invocation compile deadline (SPL_CC_TIMEOUT_MS, default 60 s).
   static double compileTimeoutSeconds();
 
+  /// The flags every kernel compile passes: \p ExtraFlags followed by
+  /// -ffp-contract=off, so floating-point semantics never depend on the
+  /// compiler's default (GCC would otherwise fuse mul+add into FMA under
+  /// -mfma, and vector kernels would round unlike scalar ones). The
+  /// compiler's argv and KernelCache::key both take their flags from here.
+  static std::string compileFlags(const std::string &ExtraFlags);
+
   KernelFn fn() const { return Fn; }
 
   /// Looks up an additional symbol (e.g. the <name>_set_tables hook emitted
   /// with CEmitOptions::ExternalTables). Null when absent.
   void *symbol(const char *Name) const;
+
+  /// Binds external tables through the \p SetName hook. dlopen returns one
+  /// handle for every load of a file, so all modules loaded from one
+  /// kernel-cache artifact share the generated code's table pointers. The
+  /// tables therefore belong to the handle: the first bind stores \p Tables
+  /// with it and points the code at them, later binds keep those (the
+  /// cache key covers the table contents, so they are equal), and they live
+  /// until the last module on the handle is gone. False when the hook is
+  /// missing.
+  bool bindTables(const std::string &SetName,
+                  std::vector<std::vector<double>> Tables);
 
   ~NativeModule();
   NativeModule(const NativeModule &) = delete;
@@ -105,7 +124,11 @@ private:
                std::string *Error, const std::string &ExtraFlags,
                bool *TimedOut, const support::Deadline &Deadline);
 
-  void *Handle = nullptr;
+  /// One dlopen handle and the tables bound into it, shared by every module
+  /// loaded from the same file.
+  struct Library;
+
+  std::shared_ptr<Library> Lib;
   KernelFn Fn = nullptr;
   std::string SoPath;
   bool OwnsSo = true;

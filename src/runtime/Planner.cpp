@@ -452,7 +452,12 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
       BO.ThreadSafe = true; // Batch dispatch runs one kernel on many threads.
       BO.Variant = V;
       BO.Deadline = Deadline; // Compile runs under the remaining budget.
-      auto K = perf::CompiledKernel::create(P->Final, &Err, BO);
+      std::unique_ptr<perf::CompiledKernel> K;
+      {
+        // Emit, then compile or probe the kernel cache, then dlopen.
+        telemetry::Span CompileSpan("plan.compile");
+        K = perf::CompiledKernel::create(P->Final, &Err, BO);
+      }
       if (K && Opts.TrialExecution) {
         // The trial guard gets min(SPL_TRIAL_TIMEOUT_MS, remaining). An
         // unproven kernel never joins the plan, so a spent budget demotes
@@ -468,6 +473,7 @@ std::shared_ptr<Plan> Planner::plan(const PlanSpec &Spec,
         }
         if (std::isfinite(Remaining))
           TrialBudget = std::min(TrialBudget, Remaining);
+        telemetry::Span TrialSpan("plan.trial");
         auto Trial = K->trial(TrialBudget);
         if (!Trial.Ok) {
           Err = perf::KernelError{perf::KernelErrorKind::TrialFailed,

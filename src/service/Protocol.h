@@ -148,6 +148,8 @@ public:
   }
   /// Raw doubles, bit-exact (used for execute payloads).
   void doubles(const double *D, std::size_t N) {
+    if (N == 0)
+      return; // D may be null then, and memcpy must not see a null source.
     std::size_t Off = Buf.size();
     Buf.resize(Off + N * 8);
     std::memcpy(Buf.data() + Off, D, N * 8);
@@ -218,7 +220,8 @@ public:
   bool doubles(double *Out, std::size_t N) {
     if (!need(N * 8))
       return false;
-    std::memcpy(Out, Data + Pos, N * 8);
+    if (N != 0) // Out may be null then.
+      std::memcpy(Out, Data + Pos, N * 8);
     Pos += N * 8;
     return true;
   }

@@ -29,6 +29,8 @@
 ///   vm-exec               the VM tier fails at plan time (forces oracle)
 ///   breaker-trip          forces the compile circuit breaker open (plans
 ///                         degrade straight to VM for the cooldown window)
+///   pidfd-open            child waits get no pidfd and take the waitpid
+///                         backoff path (results must not change)
 ///
 //===----------------------------------------------------------------------===//
 

@@ -8,7 +8,7 @@
 /// Bounded, observable child-process execution. The compile-time-search loop
 /// runs thousands of generated kernels through an external C compiler; a
 /// hanging or crashing invocation must cost a timeout, not a planner. This
-/// module replaces bare std::system() with fork/exec plus:
+/// module replaces bare std::system() with posix_spawn plus:
 ///
 ///   - a wall-clock timeout with kill-on-expiry (the whole process group
 ///     dies, so a compiler's own children cannot linger),
@@ -19,6 +19,11 @@
 /// runGuarded() forks a child around an arbitrary callable so freshly
 /// compiled kernels can be proven in isolation: a kernel that segfaults or
 /// spins takes down only the disposable child.
+///
+/// Both wait in one loop that wakes when the child exits (a pidfd polled
+/// next to the output pipe; a waitpid probe with a 50 us to 20 ms backoff
+/// where pidfds are unavailable), so a fast child costs its own run time,
+/// not a polling interval.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,7 +41,9 @@ struct SubprocessResult {
   int ExitCode = -1;       ///< Valid when the child exited normally.
   int Signal = 0;          ///< Terminating signal; 0 when none.
   bool TimedOut = false;   ///< Killed because the deadline expired.
-  bool SpawnFailed = false;///< fork/exec itself failed (or no POSIX APIs).
+  bool SpawnFailed = false;///< The process could not be created (or no
+                           ///< POSIX APIs). A command that cannot be
+                           ///< executed reports ExitCode 127 instead.
   std::string Output;      ///< Combined stdout+stderr, capped.
 
   /// True only for a clean, in-time exit 0.

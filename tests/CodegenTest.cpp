@@ -364,4 +364,42 @@ TEST(Driver, OptLevelsProduceDifferentCodeSizes) {
   EXPECT_LE(Sizes[2], Sizes[0]);
 }
 
+/// True when kernels built here can execute fused multiply-adds.
+bool hostHasFma() {
+#if defined(__aarch64__)
+  return true;
+#elif defined(__x86_64__) && defined(__GNUC__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("fma");
+#else
+  return false;
+#endif
+}
+
+TEST(NativeCompile, KernelsAreNeverFmaContracted) {
+  // x0 * x1 = 1 - 2^-60 exactly. Rounded on its own that is 1, so the
+  // unfused x0 * x1 + x2 is 0; a fused multiply-add keeps -2^-60.
+  if (!perf::NativeModule::available())
+    GTEST_SKIP() << "no system C compiler";
+  SPL_SKIP_IF_FAULTS_ARMED();
+  EXPECT_NE(perf::NativeModule::compileFlags("-O2").find("-ffp-contract=off"),
+            std::string::npos);
+  if (!hostHasFma())
+    GTEST_SKIP() << "no FMA on this host";
+#if defined(__x86_64__)
+  const std::string Flags = "-O2 -mfma";
+#else
+  const std::string Flags = "-O2";
+#endif
+  const std::string Code = "void fma_probe(double *y, const double *x)\n"
+                           "{ y[0] = x[0] * x[1] + x[2]; }\n";
+  std::string Err;
+  auto Mod = perf::NativeModule::compile(Code, "fma_probe", &Err, Flags);
+  ASSERT_TRUE(Mod) << Err;
+  const double X[3] = {1 + 0x1p-30, 1 - 0x1p-30, -1.0};
+  double Y[1] = {1.0};
+  Mod->fn()(Y, X);
+  EXPECT_EQ(Y[0], 0.0) << "the compiler fused x0 * x1 + x2";
+}
+
 } // namespace

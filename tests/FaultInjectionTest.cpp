@@ -26,10 +26,12 @@
 #include "search/Evaluator.h"
 #include "search/PlanCache.h"
 #include "support/Diagnostics.h"
+#include "support/Subprocess.h"
 #include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -268,6 +270,53 @@ TEST_F(FaultTest, TrialHangIsBoundedByItsDeadline) {
   EXPECT_NE(P->fallbackReason().find("timed out"), std::string::npos)
       << P->fallbackReason();
   EXPECT_LT(T.seconds(), 30.0) << "the hung trial must be killed, not joined";
+}
+
+TEST_F(FaultTest, PidfdOpenFaultForcesTheFallbackWait) {
+  // Without a pidfd the wait probes waitpid with a backoff instead. Every
+  // result field, and the promptness, must match the pidfd path.
+  arm("pidfd-open:1");
+  EXPECT_TRUE(runGuarded([] { return 0; }, 5).ok());
+  EXPECT_FALSE(fault::at("pidfd-open")) << "the wait must consult the site";
+
+  arm("pidfd-open");
+  SubprocessResult R = runSubprocess({"sh", "-c", "echo fallback; exit 6"});
+  EXPECT_EQ(R.ExitCode, 6);
+  EXPECT_NE(R.Output.find("fallback"), std::string::npos) << R.Output;
+  EXPECT_EQ(runGuarded([] { return 9; }, 5).ExitCode, 9);
+
+  SubprocessOptions O;
+  O.TimeoutSeconds = 0.2;
+  Timer T;
+  EXPECT_TRUE(runSubprocess({"sleep", "30"}, O).TimedOut);
+  EXPECT_TRUE(runGuarded(
+                  [] {
+                    for (;;)
+                      ::pause();
+                    return 0;
+                  },
+                  0.2)
+                  .TimedOut);
+  EXPECT_LT(T.seconds(), 0.4 + 2.0);
+
+  double Best = 1e9;
+  for (int I = 0; I != 5; ++I) {
+    Timer One;
+    EXPECT_TRUE(runGuarded([] { return 0; }, 5).ok());
+    Best = std::min(Best, One.seconds());
+  }
+  EXPECT_LT(Best, 0.010) << "the backoff starts at 50 us, not 20 ms";
+
+  if (!perf::NativeModule::available())
+    return;
+  // A whole native plan (compile + trial) on the fallback wait.
+  Diagnostics Diags;
+  runtime::Planner Planner(Diags, chainOptions());
+  runtime::PlanSpec Spec;
+  Spec.Size = 8;
+  auto P = Planner.plan(Spec);
+  ASSERT_TRUE(P) << Diags.dump();
+  EXPECT_EQ(P->backend(), runtime::Backend::Native) << P->fallbackReason();
 }
 
 TEST_F(FaultTest, OracleBackendCanBeRequestedDirectly) {

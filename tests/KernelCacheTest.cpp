@@ -17,14 +17,21 @@
 
 #include "TestUtil.h"
 
+#include "codegen/CEmitter.h"
+#include "ir/Transforms.h"
 #include "perf/KernelCache.h"
 #include "perf/NativeCompile.h"
+#include "runtime/Planner.h"
+#include "support/HostInfo.h"
+#include "support/StrUtil.h"
 #include "telemetry/Metrics.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <filesystem>
 #include <unistd.h>
 #include <fstream>
@@ -335,6 +342,61 @@ TEST_F(KernelCacheTest, EvictionRespectsByteBudget) {
   EXPECT_EQ(D2.hits(), 1u);
 }
 
+TEST_F(KernelCacheTest, PlansSharingOneArtifactKeepTheirTables) {
+  // Warm plans of one spec load the same cached .so, and dlopen hands them
+  // one handle whose static table pointers they all read. Dropping the
+  // newer plan must leave the older one computing on live tables.
+  SPL_SKIP_IF_FAULTS_ARMED();
+  if (!NativeModule::available())
+    GTEST_SKIP() << "no C compiler";
+  constexpr int N = 64; // Its kernel reads one external twiddle table.
+  runtime::PlannerOptions O;
+  O.UseWisdom = false;
+  runtime::PlanSpec Spec;
+  Spec.Size = N;
+  Spec.Want = runtime::Backend::Native;
+  auto PlanOnce = [&] {
+    Diagnostics Diags;
+    runtime::Planner P(Diags, O);
+    auto Plan = P.plan(Spec);
+    EXPECT_TRUE(Plan) << Diags.dump();
+    if (Plan) {
+      EXPECT_EQ(Plan->backend(), runtime::Backend::Native)
+          << Plan->fallbackReason();
+    }
+    return Plan;
+  };
+  ASSERT_TRUE(PlanOnce()); // Cold: populates the cache.
+  Deltas D;
+  auto First = PlanOnce();
+  ASSERT_TRUE(First);
+  PlanOnce().reset(); // A second warm plan, destroyed at once.
+  EXPECT_EQ(D.compiles(), 0u) << "both warm plans must map the artifact";
+  EXPECT_GE(D.hits(), 2u);
+
+  // Reuse whatever the dropped plan freed, so stale pointers read garbage.
+  std::vector<std::vector<double>> Churn;
+  for (std::size_t N = 1; N <= 512; ++N)
+    Churn.emplace_back(N, std::numeric_limits<double>::quiet_NaN());
+
+  const auto X = test::randomVector(N);
+  std::vector<double> XR(2 * N), YR(2 * N);
+  for (int I = 0; I != N; ++I) {
+    XR[2 * I] = X[I].real();
+    XR[2 * I + 1] = X[I].imag();
+  }
+  First->execute(YR.data(), XR.data());
+  const auto Want = dftMatrix(N).apply(X);
+  double Max = 0;
+  for (int I = 0; I != N; ++I) {
+    const double Err = std::hypot(YR[2 * I] - Want[I].real(),
+                                  YR[2 * I + 1] - Want[I].imag());
+    if (!(Err <= Max)) // A NaN must not compare its way past the check.
+      Max = Err;
+  }
+  EXPECT_LT(Max, 1e-10) << "the older plan lost its tables";
+}
+
 TEST_F(KernelCacheTest, VariantTagsSeparateScalarAndVectorKernels) {
   SPL_SKIP_IF_FAULTS_ARMED();
   if (!NativeModule::available())
@@ -372,6 +434,50 @@ TEST_F(KernelCacheTest, VariantTagsSeparateScalarAndVectorKernels) {
   expectWorks(*V2);
   EXPECT_EQ(D2.compiles(), 0u);
   EXPECT_EQ(D2.hits(), 2u);
+}
+
+TEST(KernelCacheKey, HashesTheFlagsTheCompilerGets) {
+  // The documented recipe (docs/KERNEL_CACHE.md), rebuilt by hand: the
+  // flags line carries -ffp-contract=off even though the caller did not
+  // pass it, because the compiler always gets it.
+  const std::string Src = "void k(double *y, const double *x) { *y = *x; }\n";
+  const std::string Payload =
+      "spl-kernelcache-key v3\n"
+      "host " + HostInfo::fingerprint() + "\n"
+      "cc " + NativeModule::compilerIdentity() + "\n"
+      "flags -O2 -ffp-contract=off\n"
+      "variant scalar\n"
+      "fn k\n"
+      "src " + fnv1aHex(Src) + "\n";
+  EXPECT_EQ(KernelCache::key(Src, "k", "-O2"), fnv1aHex(Payload));
+  EXPECT_EQ(NativeModule::compileFlags("-O2"), "-O2 -ffp-contract=off");
+}
+
+TEST(KernelCacheKey, CoversExternalTableContents) {
+  // An external-tables kernel names its tables by index only; the digest
+  // printed into the source is what keeps two table sets apart.
+  Diagnostics Diags;
+  runtime::PlannerOptions O;
+  O.UseWisdom = false;
+  runtime::Planner P(Diags, O);
+  runtime::PlanSpec Spec;
+  Spec.Size = 64;
+  Spec.Want = runtime::Backend::Oracle;
+  auto Plan = P.plan(Spec);
+  ASSERT_TRUE(Plan) << Diags.dump();
+  icode::Program Prog = Plan->program();
+  ASSERT_FALSE(Prog.Tables.empty());
+  ASSERT_GT(Prog.Tables[0].size(), 1u);
+
+  codegen::CEmitOptions CO;
+  CO.ExternalTables = true;
+  const std::string Before = codegen::emitC(Prog, CO);
+  EXPECT_NE(Before.find(Prog.tablesDigest()), std::string::npos);
+  Prog.Tables[0][1] += Cplx(1e-9, 0);
+  const std::string After = codegen::emitC(Prog, CO);
+  EXPECT_NE(Before, After);
+  EXPECT_NE(KernelCache::key(Before, Prog.SubName, "-O2"),
+            KernelCache::key(After, Prog.SubName, "-O2"));
 }
 
 /// Failed compiles must leave the temp directory spotless — both an honest

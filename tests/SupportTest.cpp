@@ -10,14 +10,21 @@
 #include "support/Diagnostics.h"
 #include "support/FaultInjection.h"
 #include "support/StrUtil.h"
+#include "support/Subprocess.h"
+#include "support/Timer.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <csignal>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <random>
 #include <thread>
+#include <unistd.h>
 
 using namespace spl;
 
@@ -182,6 +189,154 @@ TEST(CircuitBreaker, TripAndResetAreImmediate) {
   EXPECT_EQ(B.state(), support::CircuitBreaker::State::Closed);
   EXPECT_TRUE(B.allow());
   B.recordSuccess();
+}
+
+TEST(Subprocess, ReportsExitCode) {
+  SubprocessResult R = runSubprocess({"sh", "-c", "exit 3"});
+  EXPECT_EQ(R.ExitCode, 3);
+  EXPECT_EQ(R.Signal, 0);
+  EXPECT_FALSE(R.TimedOut);
+  EXPECT_FALSE(R.SpawnFailed);
+  EXPECT_FALSE(R.ok());
+  EXPECT_FALSE(R.transient()) << "a nonzero exit is a real diagnostic";
+  EXPECT_EQ(R.describe(), "exit 3");
+  EXPECT_TRUE(runSubprocess({"true"}).ok());
+}
+
+TEST(Subprocess, ReportsTerminatingSignal) {
+  SubprocessResult R = runSubprocess({"sh", "-c", "kill -TERM $$"});
+  EXPECT_EQ(R.Signal, SIGTERM);
+  EXPECT_FALSE(R.TimedOut);
+  EXPECT_TRUE(R.transient());
+  EXPECT_EQ(R.describe(), "killed by signal " + std::to_string(SIGTERM));
+}
+
+TEST(Subprocess, MissingBinaryExits127) {
+  SubprocessResult R = runSubprocess({"/nonexistent/spl-no-such-binary"});
+  EXPECT_FALSE(R.SpawnFailed);
+  EXPECT_EQ(R.ExitCode, 127);
+  EXPECT_FALSE(R.transient());
+  SubprocessResult Path = runSubprocess({"spl-no-such-binary-on-path"});
+  EXPECT_EQ(Path.ExitCode, 127);
+  EXPECT_TRUE(runSubprocess({}).SpawnFailed);
+}
+
+TEST(Subprocess, CapturesStdoutAndStderr) {
+  SubprocessResult R =
+      runSubprocess({"sh", "-c", "echo to-stdout; echo to-stderr >&2"});
+  ASSERT_TRUE(R.ok()) << R.describe();
+  EXPECT_NE(R.Output.find("to-stdout"), std::string::npos) << R.Output;
+  EXPECT_NE(R.Output.find("to-stderr"), std::string::npos) << R.Output;
+}
+
+TEST(Subprocess, CapsOutputAtMaxOutputBytes) {
+  // 200 KB is more than a pipe holds: the child only finishes if the
+  // reader keeps draining past the cap.
+  SubprocessOptions O;
+  O.MaxOutputBytes = 1000;
+  O.TimeoutSeconds = 10;
+  SubprocessResult R = runSubprocess(
+      {"sh", "-c", "head -c 200000 /dev/zero | tr '\\0' x"}, O);
+  ASSERT_TRUE(R.ok()) << R.describe();
+  EXPECT_EQ(R.Output, std::string(1000, 'x'));
+}
+
+TEST(Subprocess, DeadlineKillsTheWholeProcessGroup) {
+  // A grandchild would leave a marker after 0.6 s; the deadline at 0.2 s
+  // must kill it along with the child.
+  const std::string Marker = "/tmp/spl-subprocess-group-" +
+                             std::to_string(::getpid());
+  std::remove(Marker.c_str());
+  SubprocessOptions O;
+  O.TimeoutSeconds = 0.2;
+  Timer T;
+  SubprocessResult R = runSubprocess(
+      {"sh", "-c", "(sleep 0.6; touch " + Marker + ") & sleep 30"}, O);
+  const double Secs = T.seconds();
+  EXPECT_TRUE(R.TimedOut);
+  EXPECT_TRUE(R.transient());
+  EXPECT_EQ(R.describe(), "timed out");
+  EXPECT_LT(Secs, O.TimeoutSeconds + 1.0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(800));
+  EXPECT_FALSE(std::ifstream(Marker).good())
+      << "the grandchild outlived the deadline";
+  std::remove(Marker.c_str());
+}
+
+TEST(Subprocess, WaitsForAChildThatClosedItsOutput) {
+  SubprocessOptions O;
+  O.TimeoutSeconds = 10;
+  Timer T;
+  SubprocessResult R = runSubprocess({"sh", "-c", "exec >&- 2>&-; sleep 0.3; exit 4"}, O);
+  const double Secs = T.seconds();
+  EXPECT_FALSE(R.TimedOut);
+  EXPECT_EQ(R.ExitCode, 4);
+  EXPECT_GE(Secs, 0.3);
+  EXPECT_LT(Secs, O.TimeoutSeconds + 1.0);
+}
+
+TEST(Subprocess, GrandchildHoldingThePipeDoesNotHoldTheWait) {
+  // The background sleep inherits the pipe and keeps it open for 3 s after
+  // the child itself has exited.
+  SubprocessOptions O;
+  O.TimeoutSeconds = 10;
+  Timer T;
+  SubprocessResult R = runSubprocess({"sh", "-c", "sleep 3 & echo started"}, O);
+  const double Secs = T.seconds();
+  ASSERT_TRUE(R.ok()) << R.describe();
+  EXPECT_NE(R.Output.find("started"), std::string::npos) << R.Output;
+  EXPECT_LT(Secs, 1.0);
+}
+
+TEST(Guarded, ReportsOkExitCodeAndSignal) {
+  EXPECT_TRUE(runGuarded([] { return 0; }, 5).ok());
+
+  GuardedResult Exit = runGuarded([] { return 7; }, 5);
+  EXPECT_EQ(Exit.ExitCode, 7);
+  EXPECT_EQ(Exit.Signal, 0);
+  EXPECT_FALSE(Exit.ok());
+
+  GuardedResult Segv = runGuarded(
+      [] {
+        // Default disposition, so a sanitizer's handler cannot turn the
+        // signal into an exit code.
+        std::signal(SIGSEGV, SIG_DFL);
+        std::raise(SIGSEGV);
+        return 0;
+      },
+      5);
+  EXPECT_EQ(Segv.Signal, SIGSEGV);
+  EXPECT_FALSE(Segv.TimedOut);
+  EXPECT_EQ(Segv.describe(), "died on signal " + std::to_string(SIGSEGV));
+}
+
+TEST(Guarded, HangIsStoppedAtTheDeadline) {
+  const double Budget = 0.2;
+  Timer T;
+  GuardedResult R = runGuarded(
+      [] {
+        for (;;)
+          ::pause();
+        return 0;
+      },
+      Budget);
+  const double Secs = T.seconds();
+  EXPECT_TRUE(R.TimedOut);
+  EXPECT_EQ(R.describe(), "timed out");
+  EXPECT_GE(Secs, Budget);
+  EXPECT_LT(Secs, Budget + 1.0);
+}
+
+TEST(Guarded, TrivialClosureReturnsPromptly) {
+  // The wait wakes on child exit. A fixed polling interval would put a
+  // floor under this (it was 20 ms).
+  double Best = 1e9;
+  for (int I = 0; I != 5; ++I) {
+    Timer T;
+    EXPECT_TRUE(runGuarded([] { return 0; }, 5).ok());
+    Best = std::min(Best, T.seconds());
+  }
+  EXPECT_LT(Best, 0.010);
 }
 
 } // namespace

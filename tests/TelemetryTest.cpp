@@ -8,16 +8,23 @@
 /// Tests for the telemetry subsystem: the armed mask, counter/gauge
 /// disarmed no-ops, histogram edge cases (empty, single sample, saturating
 /// overflow bucket, 8-thread concurrent recording), registry JSON shape,
-/// the span tracer ring, and the StageTimer stage instrument.
+/// the span tracer ring, the StageTimer stage instrument, and the
+/// Planner's own spans.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
+
+#include "perf/NativeCompile.h"
+#include "runtime/Planner.h"
 #include "telemetry/Metrics.h"
 #include "telemetry/Trace.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -293,6 +300,64 @@ TEST(StageTimer, FullyDisarmedIsSilent) {
   { telemetry::StageTimer T("silent-stage", &H); }
   EXPECT_EQ(H.snapshot().Count, 0u);
   EXPECT_EQ(telemetry::Tracer::instance().recorded(), 0u);
+}
+
+/// One span read back from traceJson(): start and duration in us.
+struct SpanRecord {
+  std::string Name;
+  double Ts = 0, Dur = 0;
+};
+
+std::vector<SpanRecord> tracedSpans() {
+  std::vector<SpanRecord> Out;
+  const std::string J = telemetry::traceJson();
+  for (size_t Pos = J.find("{\"name\":\""); Pos != std::string::npos;
+       Pos = J.find("{\"name\":\"", Pos + 1)) {
+    SpanRecord R;
+    const size_t NameAt = Pos + 9;
+    R.Name = J.substr(NameAt, J.find('"', NameAt) - NameAt);
+    R.Ts = std::strtod(J.c_str() + J.find("\"ts\":", Pos) + 5, nullptr);
+    R.Dur = std::strtod(J.c_str() + J.find("\"dur\":", Pos) + 6, nullptr);
+    Out.push_back(R);
+  }
+  return Out;
+}
+
+TEST(PlannerSpans, CompileAndTrialNestInsidePlan) {
+  SPL_SKIP_IF_FAULTS_ARMED();
+  if (!perf::NativeModule::available())
+    GTEST_SKIP() << "no system C compiler";
+  ArmedScope Armed(/*Metrics=*/false, /*Trace=*/true);
+  Diagnostics Diags;
+  runtime::PlannerOptions O;
+  O.UseWisdom = false;
+  runtime::Planner P(Diags, O);
+  runtime::PlanSpec Spec;
+  Spec.Size = 16;
+  Spec.Want = runtime::Backend::Native;
+  auto Plan = P.plan(Spec);
+  ASSERT_TRUE(Plan) << Diags.dump();
+  ASSERT_EQ(Plan->backend(), runtime::Backend::Native)
+      << Plan->fallbackReason();
+
+  const std::vector<SpanRecord> Spans = tracedSpans();
+  const SpanRecord *Parent = nullptr;
+  std::map<std::string, double> Sum;
+  for (const SpanRecord &S : Spans) {
+    Sum[S.Name] += S.Dur;
+    if (S.Name == "plan")
+      Parent = &S;
+  }
+  ASSERT_NE(Parent, nullptr);
+  EXPECT_GT(Sum["plan.compile"], 0.0);
+  EXPECT_GT(Sum["plan.trial"], 0.0);
+  EXPECT_LE(Sum["plan.compile"] + Sum["plan.trial"], Parent->Dur);
+  // Timestamps print with ns precision in us, so allow 1 ns of rounding.
+  for (const SpanRecord &S : Spans)
+    if (S.Name == "plan.compile" || S.Name == "plan.trial") {
+      EXPECT_GE(S.Ts + 1e-3, Parent->Ts) << S.Name;
+      EXPECT_LE(S.Ts + S.Dur, Parent->Ts + Parent->Dur + 1e-3) << S.Name;
+    }
 }
 
 } // namespace
