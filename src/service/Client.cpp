@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <limits>
 #include <random>
 #include <thread>
@@ -45,6 +44,11 @@ void Client::fail(Status S, std::string Message) {
   LastError = std::move(Message);
 }
 
+void Client::drop(std::string Message) {
+  fail(Status::Protocol, std::move(Message));
+  disconnect();
+}
+
 std::uint32_t Client::wireDeadlineMs() const {
   if (DL.unbounded())
     return 0;
@@ -75,46 +79,58 @@ bool Client::backoff(int Attempt) {
   return !DL.expired();
 }
 
-std::optional<Frame> Client::roundTrip(MsgType Type,
-                                       const std::vector<std::uint8_t> &Body,
-                                       MsgType ExpectedResp) {
+std::optional<FrameHeader>
+Client::exchange(MsgType Type, const std::vector<std::uint8_t> &Body,
+                 MsgType ExpectedResp, const void *Payload,
+                 std::size_t PayloadLen) {
   if (Fd < 0) {
     fail(Status::Protocol, "not connected");
     return std::nullopt;
   }
   std::uint32_t Id = NextId++;
-  if (!writeFrame(Fd, Type, Id, Body)) {
-    fail(Status::Protocol, "send failed (daemon gone?)");
-    disconnect();
+  if (!writeFrame(Fd, Type, Id, Body, kProtocolVersion, Payload,
+                  PayloadLen)) {
+    drop("send failed (daemon gone?)");
     return std::nullopt;
   }
-  Frame F;
-  IoStatus St = readFrame(Fd, kDefaultMaxFrameBytes, F);
+  FrameHeader H;
+  IoStatus St = readHeader(Fd, H);
   if (St != IoStatus::Ok) {
-    fail(Status::Protocol, St == IoStatus::Closed
-                               ? "connection closed by daemon"
-                               : "response read failed");
-    disconnect();
+    drop(St == IoStatus::Closed ? "connection closed by daemon"
+                                : "response read failed");
     return std::nullopt;
   }
-  if (F.RequestId != Id) {
-    fail(Status::Protocol, "response id mismatch (pipelining misuse?)");
-    disconnect();
+  if (H.RequestId != Id) {
+    drop("response id mismatch (pipelining misuse?)");
     return std::nullopt;
   }
-  if (F.Type == MsgType::ErrorResp) {
+  if (H.Type == MsgType::ErrorResp) {
+    Frame F;
     ErrorBody E;
-    if (!ErrorBody::decode(F.Body.data(), F.Body.size(), E)) {
-      fail(Status::Protocol, "undecodable error response");
-      disconnect();
+    if (readBody(Fd, H, kDefaultMaxFrameBytes, F) != IoStatus::Ok ||
+        !ErrorBody::decode(F.Body.data(), F.Body.size(), E)) {
+      drop("undecodable error response");
       return std::nullopt;
     }
     fail(E.Code, E.Message);
     return std::nullopt;
   }
-  if (F.Type != ExpectedResp) {
-    fail(Status::Protocol, "unexpected response type");
-    disconnect();
+  if (H.Type != ExpectedResp) {
+    drop("unexpected response type");
+    return std::nullopt;
+  }
+  return H;
+}
+
+std::optional<Frame> Client::roundTrip(MsgType Type,
+                                       const std::vector<std::uint8_t> &Body,
+                                       MsgType ExpectedResp) {
+  auto H = exchange(Type, Body, ExpectedResp);
+  if (!H)
+    return std::nullopt;
+  Frame F;
+  if (readBody(Fd, *H, kDefaultMaxFrameBytes, F) != IoStatus::Ok) {
+    drop("response read failed");
     return std::nullopt;
   }
   LastStatus = Status::Ok;
@@ -139,26 +155,55 @@ std::optional<PlanResponse> Client::plan(const runtime::PlanSpec &Spec) {
 
 bool Client::execute(const runtime::PlanSpec &Spec, double *Y, const double *X,
                      std::int64_t Count, std::int64_t VectorLen, int Threads) {
+  // The shape is checked before anything is sent: N doubles must fit one
+  // frame.
+  std::int64_t N = 0;
+  if (Count < 0 || VectorLen < 0) {
+    fail(Status::BadRequest, "negative execute shape");
+    return false;
+  }
+  if (__builtin_mul_overflow(Count, VectorLen, &N) ||
+      N > std::int64_t(kDefaultMaxFrameBytes / sizeof(double))) {
+    fail(Status::TooLarge, "execute shape " + std::to_string(Count) + " x " +
+                               std::to_string(VectorLen) +
+                               " does not fit one frame");
+    return false;
+  }
   ExecuteRequest Req;
   Req.DeadlineMs = wireDeadlineMs();
   Req.Spec = WireSpec::fromSpec(Spec);
   Req.Count = Count;
   Req.Threads = Threads;
-  Req.Data.assign(X, X + Count * VectorLen);
-  auto F = roundTrip(MsgType::ExecuteReq, Req.encode(), MsgType::ExecuteResp);
-  if (!F)
+  // X goes out in place, after the prefix; Y is written only once the
+  // response prefix proves the payload is exactly Count x VectorLen.
+  auto H = exchange(MsgType::ExecuteReq, Req.encodePrefix(N),
+                    MsgType::ExecuteResp, X,
+                    static_cast<std::size_t>(N) * sizeof(double));
+  if (!H)
     return false;
+  std::uint8_t Prefix[ExecuteResponse::kPrefixBytes];
+  if (H->BodyLen < sizeof(Prefix) ||
+      recvAll(Fd, Prefix, sizeof(Prefix)) != IoStatus::Ok) {
+    drop("undecodable execute response");
+    return false;
+  }
   ExecuteResponse Resp;
-  if (!ExecuteResponse::decode(F->Body.data(), F->Body.size(), Resp)) {
-    fail(Status::Protocol, "undecodable execute response");
-    return false;
-  }
+  std::uint64_t RespN = 0;
+  ExecuteResponse::decodePrefix(Prefix, Resp, RespN);
+  const std::size_t Bytes = static_cast<std::size_t>(N) * sizeof(double);
   if (Resp.Count != Count || Resp.VectorLen != VectorLen ||
-      Resp.Data.size() != static_cast<std::size_t>(Count * VectorLen)) {
-    fail(Status::Protocol, "execute response shape mismatch");
+      RespN != static_cast<std::uint64_t>(N) ||
+      H->BodyLen - sizeof(Prefix) != Bytes) {
+    // The rest of the frame cannot be trusted to resynchronize on.
+    drop("execute response shape mismatch");
     return false;
   }
-  std::memcpy(Y, Resp.Data.data(), Resp.Data.size() * sizeof(double));
+  if (recvAll(Fd, Y, Bytes) != IoStatus::Ok) {
+    drop("execute response payload truncated");
+    return false;
+  }
+  LastStatus = Status::Ok;
+  LastError.clear();
   return true;
 }
 

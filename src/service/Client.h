@@ -59,8 +59,12 @@ public:
   std::optional<PlanResponse> plan(const runtime::PlanSpec &Spec);
 
   /// Round-trips an execute request: \p Count vectors of \p VectorLen
-  /// doubles from \p X into \p Y (caller-sized). VectorLen must match the
-  /// plan's (a plan() call reports it).
+  /// doubles from \p X into \p Y (caller-sized; Y == X runs in place).
+  /// VectorLen must match the plan's (a plan() call reports it). X is sent
+  /// and Y received in place, without staging copies. Y is written only
+  /// after the response's shape matched Count x VectorLen; a typed error or
+  /// a mismatch leaves it untouched, and only a transport failure in the
+  /// middle of the payload leaves it unspecified.
   bool execute(const runtime::PlanSpec &Spec, double *Y, const double *X,
                std::int64_t Count, std::int64_t VectorLen, int Threads = 1);
 
@@ -95,13 +99,26 @@ public:
   const std::string &lastError() const { return LastError; }
 
 private:
-  /// Sends \p Body as \p Type and reads the matching response frame.
-  /// Returns nullopt on transport failure or a typed ErrorResp (recorded).
+  /// Sends \p Body (then \p Payload in place) as \p Type and reads the
+  /// response header, leaving its body unread. Returns nullopt on
+  /// transport failure, a typed ErrorResp (body consumed, status recorded)
+  /// or an unexpected response.
+  std::optional<FrameHeader> exchange(MsgType Type,
+                                      const std::vector<std::uint8_t> &Body,
+                                      MsgType ExpectedResp,
+                                      const void *Payload = nullptr,
+                                      std::size_t PayloadLen = 0);
+
+  /// exchange() plus the whole response body.
   std::optional<Frame> roundTrip(MsgType Type,
                                  const std::vector<std::uint8_t> &Body,
                                  MsgType ExpectedResp);
 
   void fail(Status S, std::string Message);
+
+  /// Records a Protocol failure and closes the connection: the stream
+  /// cannot be trusted to resynchronize.
+  void drop(std::string Message);
 
   /// Sleeps one backoff step for retry \p Attempt, bounded by the
   /// remaining deadline budget. False when the budget is already spent.

@@ -186,7 +186,8 @@ bool PlanResponse::decode(const std::uint8_t *Data, std::size_t Len,
   return R.ok() && R.remaining() == 0;
 }
 
-std::vector<std::uint8_t> ExecuteRequest::encode(std::uint16_t Version) const {
+std::vector<std::uint8_t>
+ExecuteRequest::encodePrefix(std::uint64_t N, std::uint16_t Version) const {
   std::vector<std::uint8_t> Buf;
   WireWriter W(Buf);
   if (Version >= 3)
@@ -194,46 +195,76 @@ std::vector<std::uint8_t> ExecuteRequest::encode(std::uint16_t Version) const {
   Spec.encode(W, Version);
   W.i64(Count);
   W.u32(static_cast<std::uint32_t>(Threads));
-  W.u64(Data.size());
-  W.doubles(Data.data(), Data.size());
+  W.u64(N);
   return Buf;
 }
 
-bool ExecuteRequest::decode(const std::uint8_t *Data, std::size_t Len,
-                            ExecuteRequest &Out, std::uint16_t Version) {
+bool ExecuteRequest::decodePrefix(const std::uint8_t *Data, std::size_t Len,
+                                  ExecuteRequest &Out, std::uint64_t &N,
+                                  std::uint16_t Version) {
   WireReader R(Data, Len);
   Out.DeadlineMs = Version >= 3 ? R.u32() : 0;
   if (!R.ok() || !WireSpec::decode(R, Out.Spec, Version))
     return false;
   Out.Count = R.i64();
   Out.Threads = static_cast<std::int32_t>(R.u32());
-  std::uint64_t N = R.u64();
-  if (!R.ok() || N != R.remaining() / 8 || N * 8 != R.remaining())
-    return false;
-  Out.Data.resize(N);
-  return R.doubles(Out.Data.data(), N) && R.remaining() == 0;
+  N = R.u64();
+  Out.Data.clear();
+  // N is untrusted: compare by division so N * 8 cannot wrap.
+  return R.ok() && R.remaining() % 8 == 0 && N == R.remaining() / 8;
 }
 
-std::vector<std::uint8_t> ExecuteResponse::encode() const {
+std::vector<std::uint8_t> ExecuteRequest::encode(std::uint16_t Version) const {
+  std::vector<std::uint8_t> Buf = encodePrefix(Data.size(), Version);
+  WireWriter(Buf).doubles(Data.data(), Data.size());
+  return Buf;
+}
+
+bool ExecuteRequest::decode(const std::uint8_t *Data, std::size_t Len,
+                            ExecuteRequest &Out, std::uint16_t Version) {
+  std::uint64_t N = 0;
+  if (!decodePrefix(Data, Len, Out, N, Version))
+    return false;
+  Out.Data.resize(N);
+  return WireReader(Data + (Len - N * 8), N * 8).doubles(Out.Data.data(), N);
+}
+
+std::vector<std::uint8_t> ExecuteResponse::encodePrefix(std::uint64_t N) const {
   std::vector<std::uint8_t> Buf;
+  Buf.reserve(kPrefixBytes);
   WireWriter W(Buf);
   W.i64(Count);
   W.i64(VectorLen);
-  W.u64(Data.size());
-  W.doubles(Data.data(), Data.size());
+  W.u64(N);
+  return Buf;
+}
+
+void ExecuteResponse::decodePrefix(const std::uint8_t *Prefix,
+                                   ExecuteResponse &Out, std::uint64_t &N) {
+  WireReader R(Prefix, kPrefixBytes);
+  Out.Count = R.i64();
+  Out.VectorLen = R.i64();
+  N = R.u64();
+  Out.Data.clear();
+}
+
+std::vector<std::uint8_t> ExecuteResponse::encode() const {
+  std::vector<std::uint8_t> Buf = encodePrefix(Data.size());
+  WireWriter(Buf).doubles(Data.data(), Data.size());
   return Buf;
 }
 
 bool ExecuteResponse::decode(const std::uint8_t *Data, std::size_t Len,
                              ExecuteResponse &Out) {
-  WireReader R(Data, Len);
-  Out.Count = R.i64();
-  Out.VectorLen = R.i64();
-  std::uint64_t N = R.u64();
-  if (!R.ok() || N != R.remaining() / 8 || N * 8 != R.remaining())
+  std::uint64_t N = 0;
+  if (Len < kPrefixBytes)
+    return false;
+  decodePrefix(Data, Out, N);
+  const std::size_t Rest = Len - kPrefixBytes;
+  if (Rest % 8 != 0 || N != Rest / 8)
     return false;
   Out.Data.resize(N);
-  return R.doubles(Out.Data.data(), N) && R.remaining() == 0;
+  return WireReader(Data + kPrefixBytes, Rest).doubles(Out.Data.data(), N);
 }
 
 std::vector<std::uint8_t> StatsResponse::encode() const {

@@ -324,6 +324,13 @@ struct PlanResponse {
 /// ExecuteReq body: a spec plus Count packed vectors of Count*VectorLen
 /// doubles. The spec rides along (rather than a plan handle) so the request
 /// is stateless: the registry turns repeats into memo hits.
+///
+/// The body is a prefix (deadline, spec, count, threads, the payload's
+/// length N in doubles) followed by the N-double payload, which always ends
+/// the body. The prefix codec lets the payload travel between the socket
+/// and the caller's own buffer without a copy (Client::execute, the
+/// server's in-place execute); encode()/decode() are that codec plus the
+/// payload appended to or read from Data.
 struct ExecuteRequest {
   /// Remaining client budget in milliseconds (0 = unbounded); see
   /// PlanRequest::DeadlineMs. v3-only field, encoded first.
@@ -333,6 +340,17 @@ struct ExecuteRequest {
   std::int32_t Threads = 1; ///< Requested batch workers (server-capped).
   std::vector<double> Data; ///< Count * vectorLen doubles.
 
+  /// The body up to the payload, for a payload of \p N doubles.
+  std::vector<std::uint8_t>
+  encodePrefix(std::uint64_t N,
+               std::uint16_t Version = kProtocolVersion) const;
+  /// Decodes the prefix of a whole body of \p Len bytes, leaving Data
+  /// empty. True only when the payload the prefix announces is exactly the
+  /// rest of the body; \p N is then its length in doubles.
+  static bool decodePrefix(const std::uint8_t *Data, std::size_t Len,
+                           ExecuteRequest &Out, std::uint64_t &N,
+                           std::uint16_t Version = kProtocolVersion);
+
   std::vector<std::uint8_t> encode(std::uint16_t Version =
                                        kProtocolVersion) const;
   static bool decode(const std::uint8_t *Data, std::size_t Len,
@@ -340,11 +358,21 @@ struct ExecuteRequest {
                      std::uint16_t Version = kProtocolVersion);
 };
 
-/// ExecuteResp body: the transformed vectors, same layout as the request.
+/// ExecuteResp body: the transformed vectors, same layout as the request: a
+/// fixed kPrefixBytes prefix (Count, VectorLen, N) and the N-double payload.
 struct ExecuteResponse {
+  static constexpr std::size_t kPrefixBytes = 24;
+
   std::int64_t Count = 0;
   std::int64_t VectorLen = 0;
   std::vector<double> Data;
+
+  /// The kPrefixBytes prefix for a payload of \p N doubles.
+  std::vector<std::uint8_t> encodePrefix(std::uint64_t N) const;
+  /// Decodes a kPrefixBytes prefix; \p N is the payload length it
+  /// announces, which the caller checks against the body length.
+  static void decodePrefix(const std::uint8_t *Prefix, ExecuteResponse &Out,
+                           std::uint64_t &N);
 
   std::vector<std::uint8_t> encode() const;
   static bool decode(const std::uint8_t *Data, std::size_t Len,

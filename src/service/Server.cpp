@@ -102,6 +102,7 @@ Server::Server(ServerOptions OptsIn)
   telemetry::gauge("spld.active_connections");
   telemetry::histogram("spld.plan_ns");
   telemetry::histogram("spld.execute_ns");
+  telemetry::histogram("spld.queue_ns");
   // The compile breaker is process-wide (one compiler, one breaker); the
   // daemon is the one deployment where overload protection should be on by
   // default, so spld's CLI passes a non-zero threshold here.
@@ -246,9 +247,11 @@ void Server::acceptLoop() {
 
 bool Server::sendFrame(Conn &C, MsgType Type, std::uint32_t RequestId,
                        const std::vector<std::uint8_t> &Body,
-                       std::uint16_t Version) {
+                       std::uint16_t Version, const void *Payload,
+                       std::size_t PayloadLen) {
   std::lock_guard<std::mutex> Lock(C.WriteM);
-  return writeFrame(C.Fd, Type, RequestId, Body, Version);
+  return writeFrame(C.Fd, Type, RequestId, Body, Version, Payload,
+                    PayloadLen);
 }
 
 void Server::sendError(Conn &C, std::uint32_t RequestId, Status Code,
@@ -435,8 +438,17 @@ void Server::handleExecute(std::shared_ptr<Conn> C, Frame F,
   }
   telemetry::StageTimer T("spld.execute", &ExecNs);
 
+  // Only the prefix is decoded: the payload stays where recv put it, at the
+  // double-aligned tail of the frame body, and is transformed in place.
   ExecuteRequest Req;
-  if (!ExecuteRequest::decode(F.Body.data(), F.Body.size(), Req, F.Version)) {
+  std::uint64_t N = 0;
+  bool Decoded;
+  {
+    telemetry::Span Sp("spld.decode");
+    Decoded = ExecuteRequest::decodePrefix(F.Body.data(), F.Body.size(), Req,
+                                           N, F.Version);
+  }
+  if (!Decoded) {
     sendError(*C, F.RequestId, Status::BadRequest,
               "malformed execute request body", F.Version);
     return;
@@ -446,33 +458,37 @@ void Server::handleExecute(std::shared_ptr<Conn> C, Frame F,
               "execute count must be >= 1", F.Version);
     return;
   }
-  auto P = acquirePlan(*C, F.RequestId, Req.Spec, DL, F.Version);
+  std::shared_ptr<runtime::Plan> P;
+  {
+    telemetry::Span Sp("spld.acquire");
+    P = acquirePlan(*C, F.RequestId, Req.Spec, DL, F.Version);
+  }
   if (!P)
     return;
   // Count is untrusted wire input: `Count * Len` can overflow int64 and
   // wrap to match a short payload, so derive the batch count from the
   // actual payload size instead and require the client's Count to agree.
   const std::int64_t Len = P->vectorLen();
-  if (Len <= 0 || Req.Data.size() % static_cast<std::size_t>(Len) != 0 ||
-      Req.Count !=
-          static_cast<std::int64_t>(Req.Data.size() /
-                                    static_cast<std::size_t>(Len))) {
+  if (Len <= 0 || N % static_cast<std::uint64_t>(Len) != 0 ||
+      Req.Count != static_cast<std::int64_t>(
+                       N / static_cast<std::uint64_t>(Len))) {
     sendError(*C, F.RequestId, Status::BadRequest,
-              "execute payload holds " + std::to_string(Req.Data.size()) +
-                  " doubles; " + std::to_string(Req.Count) + " x " +
-                  std::to_string(Len) + " expected",
+              "execute payload holds " + std::to_string(N) + " doubles; " +
+                  std::to_string(Req.Count) + " x " + std::to_string(Len) +
+                  " expected",
               F.Version);
     return;
   }
   int Threads = Req.Threads < 1 ? 1
                 : Req.Threads > Opts.MaxExecThreads ? Opts.MaxExecThreads
                                                     : Req.Threads;
-  ExecuteResponse Resp;
-  Resp.Count = Req.Count;
-  Resp.VectorLen = Len;
-  Resp.Data.resize(Req.Data.size());
-  if (P->executeBatch(Resp.Data.data(), Req.Data.data(), Req.Count, DL,
-                      Threads) == runtime::ExecStatus::DeadlineExceeded) {
+  double *Data = F.Body.tail(N);
+  runtime::ExecStatus ES;
+  {
+    telemetry::Span Sp("spld.run");
+    ES = P->executeBatch(Data, Data, Req.Count, DL, Threads);
+  }
+  if (ES == runtime::ExecStatus::DeadlineExceeded) {
     // Partial batches are never shipped: the client asked for Count
     // results and gets a typed error instead of silently truncated data.
     sendError(*C, F.RequestId, Status::DeadlineExceeded,
@@ -485,7 +501,29 @@ void Server::handleExecute(std::shared_ptr<Conn> C, Frame F,
     std::lock_guard<std::mutex> Lock(StatsM);
     ++S.Executes;
   }
-  sendFrame(*C, MsgType::ExecuteResp, F.RequestId, Resp.encode(), F.Version);
+  ExecuteResponse Resp;
+  Resp.Count = Req.Count;
+  Resp.VectorLen = Len;
+  telemetry::Span Sp("spld.send");
+  sendFrame(*C, MsgType::ExecuteResp, F.RequestId, Resp.encodePrefix(N),
+            F.Version, Data, N * sizeof(double));
+}
+
+void Server::enqueue(Handler H, std::shared_ptr<Conn> C, Frame F) {
+  static telemetry::Histogram &QueueNs =
+      telemetry::histogram("spld.queue_ns");
+  // The deadline clock starts here, on the reader thread, so time spent
+  // queued for a pool worker counts against the budget.
+  support::Deadline DL = support::Deadline::afterMs(
+      peekDeadlineMs(F) ? peekDeadlineMs(F) : Opts.DefaultDeadlineMs);
+  // The pool takes copyable jobs and a frame owns its body, so the frame
+  // rides in a shared_ptr; it still dies with the request.
+  auto FP = std::make_shared<Frame>(std::move(F));
+  const std::uint64_t AdmitNs = telemetry::traceNowNs();
+  Pool->run([this, H, C = std::move(C), FP, DL, AdmitNs]() mutable {
+    QueueNs.record(telemetry::traceNowNs() - AdmitNs);
+    (this->*H)(std::move(C), std::move(*FP), DL);
+  });
 }
 
 void Server::handleStats(Conn &C, std::uint32_t RequestId,
@@ -553,21 +591,18 @@ void Server::connLoop(std::shared_ptr<Conn> C) {
       handleStats(*C, F.RequestId, F.Version);
       break;
     case MsgType::ShutdownReq:
-      sendFrame(*C, MsgType::ShutdownResp, F.RequestId, {}, F.Version);
+      // Flag first: a client that has read the response must find the
+      // daemon draining. stop() only shuts the read side, so the response
+      // still goes out.
       requestShutdown();
+      sendFrame(*C, MsgType::ShutdownResp, F.RequestId, {}, F.Version);
       break;
     case MsgType::PlanReq:
       if (admit(*C, F.RequestId, F.Version)) {
         static telemetry::Counter &PlanReqs =
             telemetry::counter("spld.plan_requests");
         PlanReqs.add();
-        // The deadline clock starts here, on the reader thread, so time
-        // spent queued for a pool worker counts against the budget.
-        support::Deadline DL = support::Deadline::afterMs(
-            peekDeadlineMs(F) ? peekDeadlineMs(F) : Opts.DefaultDeadlineMs);
-        Pool->run([this, C, F = std::move(F), DL]() mutable {
-          handlePlan(C, std::move(F), DL);
-        });
+        enqueue(&Server::handlePlan, C, std::move(F));
       }
       break;
     case MsgType::ExecuteReq:
@@ -575,11 +610,7 @@ void Server::connLoop(std::shared_ptr<Conn> C) {
         static telemetry::Counter &ExecReqs =
             telemetry::counter("spld.execute_requests");
         ExecReqs.add();
-        support::Deadline DL = support::Deadline::afterMs(
-            peekDeadlineMs(F) ? peekDeadlineMs(F) : Opts.DefaultDeadlineMs);
-        Pool->run([this, C, F = std::move(F), DL]() mutable {
-          handleExecute(C, std::move(F), DL);
-        });
+        enqueue(&Server::handleExecute, C, std::move(F));
       }
       break;
     default:

@@ -166,11 +166,20 @@ private:
   void handleExecute(std::shared_ptr<Conn> C, Frame F, support::Deadline DL);
   void handleStats(Conn &C, std::uint32_t RequestId, std::uint16_t Version);
 
+  using Handler = void (Server::*)(std::shared_ptr<Conn>, Frame,
+                                   support::Deadline);
+  /// Runs an admitted request's handler on the pool under the request's
+  /// deadline (started now), recording the wait from admission to worker
+  /// start in spld.queue_ns.
+  void enqueue(Handler H, std::shared_ptr<Conn> C, Frame F);
+
   /// \p Version stamps the response header — always the request frame's
-  /// version, so a v2 client can validate what comes back.
+  /// version, so a v2 client can validate what comes back. \p Payload
+  /// follows \p Body on the wire, sent in place (see writeFrame).
   bool sendFrame(Conn &C, MsgType Type, std::uint32_t RequestId,
                  const std::vector<std::uint8_t> &Body,
-                 std::uint16_t Version = kProtocolVersion);
+                 std::uint16_t Version = kProtocolVersion,
+                 const void *Payload = nullptr, std::size_t PayloadLen = 0);
   void sendError(Conn &C, std::uint32_t RequestId, Status Code,
                  const std::string &Message,
                  std::uint16_t Version = kProtocolVersion);

@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -97,19 +99,40 @@ int spl::service::connectUnix(const std::string &Path, std::string &Err) {
   return Fd;
 }
 
-bool spl::service::sendAll(int Fd, const void *Data, std::size_t Len) {
-  const std::uint8_t *P = static_cast<const std::uint8_t *>(Data);
-  while (Len) {
-    ssize_t N = ::send(Fd, P, Len, MSG_NOSIGNAL);
+namespace {
+
+/// Sends every byte the \p Count iovecs describe, advancing them past
+/// partial writes (EINTR-safe, MSG_NOSIGNAL).
+bool sendIov(int Fd, iovec *Iov, int Count) {
+  while (Count) {
+    msghdr M{};
+    M.msg_iov = Iov;
+    M.msg_iovlen = static_cast<std::size_t>(Count);
+    ssize_t N = ::sendmsg(Fd, &M, MSG_NOSIGNAL);
     if (N < 0) {
       if (errno == EINTR)
         continue;
       return false;
     }
-    P += N;
-    Len -= static_cast<std::size_t>(N);
+    std::size_t Sent = static_cast<std::size_t>(N);
+    while (Count && Sent >= Iov->iov_len) {
+      Sent -= Iov->iov_len;
+      ++Iov;
+      --Count;
+    }
+    if (Count) {
+      Iov->iov_base = static_cast<std::uint8_t *>(Iov->iov_base) + Sent;
+      Iov->iov_len -= Sent;
+    }
   }
   return true;
+}
+
+} // namespace
+
+bool spl::service::sendAll(int Fd, const void *Data, std::size_t Len) {
+  iovec Iov{const_cast<void *>(Data), Len};
+  return sendIov(Fd, &Iov, Len ? 1 : 0);
 }
 
 IoStatus spl::service::recvAll(int Fd, void *Data, std::size_t Len) {
@@ -129,32 +152,52 @@ IoStatus spl::service::recvAll(int Fd, void *Data, std::size_t Len) {
   return IoStatus::Ok;
 }
 
+void FrameBody::resize(std::size_t NewLen) {
+  Len = NewLen;
+  Words = Len ? std::make_unique_for_overwrite<double[]>(words()) : nullptr;
+}
+
 bool spl::service::writeFrame(int Fd, MsgType Type, std::uint32_t RequestId,
                               const std::vector<std::uint8_t> &Body,
-                              std::uint16_t Version) {
+                              std::uint16_t Version, const void *Payload,
+                              std::size_t PayloadLen) {
+  constexpr std::size_t MaxBody = std::numeric_limits<std::uint32_t>::max();
+  if (Body.size() > MaxBody || PayloadLen > MaxBody - Body.size())
+    return false;
   FrameHeader H;
   H.Version = Version;
   H.Type = Type;
   H.RequestId = RequestId;
-  H.BodyLen = static_cast<std::uint32_t>(Body.size());
+  H.BodyLen = static_cast<std::uint32_t>(Body.size() + PayloadLen);
   std::uint8_t Hdr[kHeaderBytes];
   H.encode(Hdr);
-  // One send per part is fine: Unix sockets are streams and the frames are
-  // small next to the kernel buffer; coalescing would only copy.
-  if (!sendAll(Fd, Hdr, kHeaderBytes))
-    return false;
-  return Body.empty() || sendAll(Fd, Body.data(), Body.size());
+  iovec Iov[3];
+  int Count = 0;
+  Iov[Count++] = {Hdr, kHeaderBytes};
+  if (!Body.empty())
+    Iov[Count++] = {const_cast<std::uint8_t *>(Body.data()), Body.size()};
+  if (PayloadLen)
+    Iov[Count++] = {const_cast<void *>(Payload), PayloadLen};
+  return sendIov(Fd, Iov, Count);
 }
 
-IoStatus spl::service::readFrame(int Fd, std::uint32_t MaxBodyBytes,
-                                 Frame &Out) {
+IoStatus spl::service::readHeader(int Fd, FrameHeader &H) {
   std::uint8_t Hdr[kHeaderBytes];
   IoStatus St = recvAll(Fd, Hdr, kHeaderBytes);
   if (St != IoStatus::Ok)
     return St;
+  return FrameHeader::decode(Hdr, H) ? IoStatus::Ok : IoStatus::BadFrame;
+}
+
+IoStatus spl::service::readFrame(int Fd, std::uint32_t MaxBodyBytes,
+                                 Frame &Out) {
   FrameHeader H;
-  if (!FrameHeader::decode(Hdr, H))
-    return IoStatus::BadFrame;
+  IoStatus St = readHeader(Fd, H);
+  return St == IoStatus::Ok ? readBody(Fd, H, MaxBodyBytes, Out) : St;
+}
+
+IoStatus spl::service::readBody(int Fd, const FrameHeader &H,
+                                std::uint32_t MaxBodyBytes, Frame &Out) {
   Out.Type = H.Type;
   Out.RequestId = H.RequestId;
   Out.Version = H.Version;
@@ -176,6 +219,7 @@ IoStatus spl::service::readFrame(int Fd, std::uint32_t MaxBodyBytes,
   Out.Body.resize(H.BodyLen);
   if (H.BodyLen == 0)
     return IoStatus::Ok;
-  St = recvAll(Fd, Out.Body.data(), Out.Body.size());
-  return St == IoStatus::Ok ? IoStatus::Ok : IoStatus::Error;
+  return recvAll(Fd, Out.Body.data(), Out.Body.size()) == IoStatus::Ok
+             ? IoStatus::Ok
+             : IoStatus::Error;
 }

@@ -20,6 +20,7 @@
 #include "service/Protocol.h"
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,36 @@ enum class IoStatus {
   TooBig,   ///< Body length exceeds the caller's cap; body was not read.
 };
 
+/// A received frame body in uninitialized storage (no zero-fill pass over
+/// a 16 MB payload that recv is about to overwrite). The body is placed so
+/// that it ends on an 8-byte boundary: execute payloads are the body's
+/// tail and a whole number of doubles, so they start double-aligned
+/// whatever the length of the prefix before them.
+class FrameBody {
+public:
+  /// Discards the contents and makes room for \p NewLen unspecified bytes.
+  void resize(std::size_t NewLen);
+  void clear() { resize(0); }
+
+  std::uint8_t *data() { return bytes(); }
+  const std::uint8_t *data() const { return bytes(); }
+  std::size_t size() const { return Len; }
+  std::uint8_t operator[](std::size_t I) const { return bytes()[I]; }
+
+  /// The last \p N doubles of the body, in place (N * 8 <= size()).
+  double *tail(std::size_t N) { return Words.get() + (words() - N); }
+
+private:
+  std::size_t words() const { return (Len + 7) / 8; }
+  std::uint8_t *bytes() const {
+    auto *Storage = reinterpret_cast<std::uint8_t *>(Words.get());
+    return Len ? Storage + (words() * 8 - Len) : Storage;
+  }
+
+  std::unique_ptr<double[]> Words;
+  std::size_t Len = 0;
+};
+
 /// One received frame.
 struct Frame {
   MsgType Type = MsgType::PingReq;
@@ -43,7 +74,7 @@ struct Frame {
   /// decodes the body per this version and echoes it on the response so a
   /// v2 client never sees a version it cannot validate.
   std::uint16_t Version = kProtocolVersion;
-  std::vector<std::uint8_t> Body;
+  FrameBody Body;
 };
 
 /// Creates, binds and listens on a Unix-domain stream socket at \p Path,
@@ -62,17 +93,30 @@ bool sendAll(int Fd, const void *Data, std::size_t Len);
 /// or Error (mid-buffer EOF or syscall failure).
 IoStatus recvAll(int Fd, void *Data, std::size_t Len);
 
-/// Sends one frame: header + body. \p Version stamps the header — servers
-/// pass the request frame's version so old clients can decode the reply.
+/// Sends one frame: header, \p Body, then \p PayloadLen bytes at
+/// \p Payload (caller-owned, sent in place), in one sendmsg loop. \p Version
+/// stamps the header — servers pass the request frame's version so old
+/// clients can decode the reply. False on any error, or when the body
+/// would not fit the header's u32 length.
 bool writeFrame(int Fd, MsgType Type, std::uint32_t RequestId,
                 const std::vector<std::uint8_t> &Body,
-                std::uint16_t Version = kProtocolVersion);
+                std::uint16_t Version = kProtocolVersion,
+                const void *Payload = nullptr, std::size_t PayloadLen = 0);
+
+/// Reads and validates one frame header: Ok, Closed, Error, or BadFrame
+/// (bad magic or version).
+IoStatus readHeader(int Fd, FrameHeader &H);
 
 /// Reads one frame, validating the header and capping the body at
 /// \p MaxBodyBytes. On TooBig the offending body is consumed (so the
 /// caller can answer with a typed error and keep the connection); on
 /// BadFrame the stream cannot be resynchronized and must be closed.
 IoStatus readFrame(int Fd, std::uint32_t MaxBodyBytes, Frame &Out);
+
+/// readFrame after the header: reads (or, past the cap, drains) the body
+/// that \p H announces.
+IoStatus readBody(int Fd, const FrameHeader &H, std::uint32_t MaxBodyBytes,
+                  Frame &Out);
 
 } // namespace service
 } // namespace spl

@@ -65,10 +65,7 @@ void checkNativeC(const std::string &Source, std::int64_t Threshold) {
   Mod->fn()(YR.data(), XR.data());
 
   std::vector<Cplx> Want = Unit.Formula->toMatrix().apply(X);
-  double Max = 0;
-  for (size_t I = 0; I != Want.size(); ++I)
-    Max = std::max(Max, std::abs(Cplx(YR[2 * I], YR[2 * I + 1]) - Want[I]));
-  EXPECT_LT(Max, 1e-9) << Unit.Code;
+  EXPECT_LT(maxAbsDiff(YR, Want), 1e-9) << Unit.Code;
 }
 
 TEST(CEmitter, EmitsCompilableUnrolledFFT) {
@@ -283,13 +280,10 @@ void checkVectorC(const std::string &Source, std::int64_t Threshold,
   Matrix Dense = Unit.Formula->toMatrix();
   for (int J = 0; J < M; ++J) {
     std::vector<Cplx> Want = Dense.apply(Cols[J]);
-    double Max = 0;
+    std::vector<Cplx> Got(static_cast<size_t>(NOut));
     for (std::int64_t I = 0; I != NOut; ++I)
-      Max = std::max(Max,
-                     std::abs(Cplx(PY[(2 * I) * M + J],
-                                   PY[(2 * I + 1) * M + J]) -
-                              Want[I]));
-    EXPECT_LT(Max, 1e-10) << "column " << J << "\n" << Code;
+      Got[I] = Cplx(PY[(2 * I) * M + J], PY[(2 * I + 1) * M + J]);
+    EXPECT_LT(maxAbsDiff(Got, Want), 1e-10) << "column " << J << "\n" << Code;
   }
 }
 

@@ -338,12 +338,7 @@ TEST_F(FaultTest, OracleBackendCanBeRequestedDirectly) {
   }
   P->execute(YR.data(), XR.data());
   auto Want = dftMatrix(8).apply(X);
-  double Max = 0;
-  for (int I = 0; I != 8; ++I) {
-    Max = std::max(Max, std::fabs(YR[2 * I] - Want[I].real()));
-    Max = std::max(Max, std::fabs(YR[2 * I + 1] - Want[I].imag()));
-  }
-  EXPECT_LT(Max, 1e-10);
+  EXPECT_LT(maxAbsDiff(YR, Want), 1e-10);
 }
 
 TEST_F(FaultTest, FullChainLandsOnTheOracleAndIsCorrect) {
@@ -371,12 +366,7 @@ TEST_F(FaultTest, FullChainLandsOnTheOracleAndIsCorrect) {
   }
   P->execute(YR.data(), XR.data());
   auto Want = dftMatrix(16).apply(X);
-  double Max = 0;
-  for (int I = 0; I != 16; ++I) {
-    Max = std::max(Max, std::fabs(YR[2 * I] - Want[I].real()));
-    Max = std::max(Max, std::fabs(YR[2 * I + 1] - Want[I].imag()));
-  }
-  EXPECT_LT(Max, 1e-10);
+  EXPECT_LT(maxAbsDiff(YR, Want), 1e-10);
 
   // Batched dispatch works on the oracle tier too, bit-identically across
   // thread counts.

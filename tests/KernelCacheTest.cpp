@@ -387,14 +387,8 @@ TEST_F(KernelCacheTest, PlansSharingOneArtifactKeepTheirTables) {
   }
   First->execute(YR.data(), XR.data());
   const auto Want = dftMatrix(N).apply(X);
-  double Max = 0;
-  for (int I = 0; I != N; ++I) {
-    const double Err = std::hypot(YR[2 * I] - Want[I].real(),
-                                  YR[2 * I + 1] - Want[I].imag());
-    if (!(Err <= Max)) // A NaN must not compare its way past the check.
-      Max = Err;
-  }
-  EXPECT_LT(Max, 1e-10) << "the older plan lost its tables";
+  EXPECT_LT(test::maxAbsDiff(YR, Want), 1e-10)
+      << "the older plan lost its tables";
 }
 
 TEST_F(KernelCacheTest, VariantTagsSeparateScalarAndVectorKernels) {

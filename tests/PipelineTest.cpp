@@ -69,10 +69,7 @@ void checkProgramLowered(const icode::Program &P, const FormulaRef &F,
   VM.runReal(XR, YR);
   std::vector<Cplx> Want = F->toMatrix().apply(X);
   ASSERT_EQ(YR.size(), Want.size() * 2);
-  double Max = 0;
-  for (size_t I = 0; I != Want.size(); ++I)
-    Max = std::max(Max, std::abs(Cplx(YR[2 * I], YR[2 * I + 1]) - Want[I]));
-  EXPECT_LT(Max, Tol) << F->print();
+  EXPECT_LT(maxAbsDiff(YR, Want), Tol) << F->print();
 }
 
 FormulaRef fft8() {

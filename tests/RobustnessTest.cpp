@@ -7,17 +7,30 @@
 /// \file
 /// The frontend must never crash: malformed, truncated, and adversarial
 /// inputs produce diagnostics (or parse cleanly), not undefined behaviour.
-/// Includes a deterministic mutation fuzzer over valid programs.
+/// Includes a deterministic mutation fuzzer over valid programs, and the
+/// same fixed-seed fuzzing over spld's execute path: the execute codecs,
+/// mutated execute frames sent to a live Server, and mutated execute
+/// responses fed to Client::execute.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ServiceTestUtil.h"
+
 #include "frontend/Parser.h"
+#include "service/Client.h"
+#include "service/Server.h"
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <vector>
+
+#include <sys/socket.h>
+#include <unistd.h>
 
 using namespace spl;
+using namespace spl::service;
 
 namespace {
 
@@ -137,5 +150,201 @@ TEST_P(MutationFuzzTest, MutatedProgramsNeverCrashTheFrontend) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, MutationFuzzTest,
                          ::testing::Range(1000u, 1080u));
+
+//===----------------------------------------------------------------------===//
+// The execute path
+//===----------------------------------------------------------------------===//
+
+/// Applies 1..8 byte mutations inside [Lo, Hi) of \p B (clamped to its
+/// size): erase a short run, insert, overwrite with a random or boundary
+/// byte, or swap two bytes.
+void mutateBytes(std::vector<std::uint8_t> &B, std::mt19937 &Gen,
+                 std::size_t Lo = 0, std::size_t Hi = SIZE_MAX) {
+  int Mutations = 1 + Gen() % 8;
+  for (int M = 0; M != Mutations; ++M) {
+    const std::size_t End = std::min(Hi, B.size());
+    if (End <= Lo)
+      return;
+    std::size_t Pos = Lo + Gen() % (End - Lo);
+    switch (Gen() % 5) {
+    case 0:
+      B.erase(B.begin() + Pos,
+              B.begin() + std::min(B.size(), Pos + 1 + Gen() % 5));
+      break;
+    case 1:
+      B.insert(B.begin() + Pos, static_cast<std::uint8_t>(Gen()));
+      break;
+    case 2:
+      B[Pos] = static_cast<std::uint8_t>(Gen());
+      break;
+    case 3:
+      B[Pos] = Gen() % 2 ? 0x00 : 0xFF;
+      break;
+    default:
+      std::swap(B[Pos], B[Lo + Gen() % (End - Lo)]);
+      break;
+    }
+  }
+}
+
+/// A small valid execute request: a VM fft 16 batch of two vectors.
+ExecuteRequest validRequest() {
+  ExecuteRequest Req;
+  Req.Spec.Transform = "fft";
+  Req.Spec.Size = 16;
+  Req.Spec.Backend = "vm";
+  Req.Count = 2;
+  Req.Threads = 2;
+  for (int I = 0; I != 64; ++I)
+    Req.Data.push_back(0.125 * (I % 7) - 0.25);
+  return Req;
+}
+
+std::string fuzzSocketPath(const char *Tag, unsigned Seed) {
+  return "/tmp/spl-robust-" + std::string(Tag) + "-" +
+         std::to_string(getpid()) + "-" + std::to_string(Seed) + ".sock";
+}
+
+class ExecuteCodecFuzzTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ExecuteCodecFuzzTest, MutatedBodiesDecodeOrFailCleanly) {
+  std::mt19937 Gen(GetParam());
+  const std::uint16_t Version =
+      static_cast<std::uint16_t>(kMinProtocolVersion +
+                                 GetParam() % (kProtocolVersion -
+                                               kMinProtocolVersion + 1));
+  std::vector<std::uint8_t> B = validRequest().encode(Version);
+  mutateBytes(B, Gen);
+  ExecuteRequest Req;
+  if (ExecuteRequest::decode(B.data(), B.size(), Req, Version)) {
+    EXPECT_LE(Req.Data.size() * 8, B.size());
+  }
+  std::uint64_t N = 0;
+  if (ExecuteRequest::decodePrefix(B.data(), B.size(), Req, N, Version)) {
+    EXPECT_LE(N * 8, B.size()); // The payload is the body's tail.
+    EXPECT_TRUE(Req.Data.empty());
+  }
+
+  ExecuteResponse Resp;
+  Resp.Count = 2;
+  Resp.VectorLen = 32;
+  Resp.Data = validRequest().Data;
+  std::vector<std::uint8_t> R = Resp.encode();
+  mutateBytes(R, Gen);
+  ExecuteResponse Out;
+  if (ExecuteResponse::decode(R.data(), R.size(), Out)) {
+    EXPECT_EQ(Out.Data.size() * 8 + ExecuteResponse::kPrefixBytes, R.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, ExecuteCodecFuzzTest,
+                         ::testing::Range(2000u, 2200u));
+
+class ExecuteFrameFuzzTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ExecuteFrameFuzzTest, LiveServerAnswersTypedOrDrops) {
+  ServerOptions Opts;
+  Opts.SocketPath = fuzzSocketPath("server", GetParam());
+  Opts.Workers = 2;
+  Opts.MaxTransformSize = 64; // Mutated sizes stay cheap to plan.
+  Opts.MaxFrameBytes = 1 << 20;
+  Opts.Planner.UseWisdom = false;
+  Opts.Planner.Evaluator = "opcount";
+  Server Srv(Opts);
+  ASSERT_TRUE(Srv.start()) << Srv.diagnostics().dump();
+
+  std::mt19937 Gen(GetParam());
+  const std::vector<std::uint8_t> Valid = validRequest().encode();
+  for (int Round = 0; Round != 25; ++Round) {
+    std::vector<std::uint8_t> Body = Valid;
+    mutateBytes(Body, Gen);
+    std::vector<std::uint8_t> Bytes =
+        test::frameBytes(MsgType::ExecuteReq, 1, Body);
+    if (Gen() % 4 == 0) {
+      // The header's length disagrees with what follows: the server must
+      // drain, reject, or drop, never read past what it was sent.
+      std::uint32_t Lie = static_cast<std::uint32_t>(Gen()) %
+                          (2 * static_cast<std::uint32_t>(Body.size()) + 64);
+      std::memcpy(Bytes.data() + 12, &Lie, 4);
+    }
+    std::string Err;
+    int Fd = connectUnix(Opts.SocketPath, Err);
+    ASSERT_GE(Fd, 0) << Err;
+    ASSERT_TRUE(sendAll(Fd, Bytes.data(), Bytes.size()));
+    ::shutdown(Fd, SHUT_WR);
+    Frame F;
+    IoStatus St;
+    while ((St = readFrame(Fd, kDefaultMaxFrameBytes, F)) == IoStatus::Ok) {
+      if (F.Type == MsgType::ErrorResp) {
+        ErrorBody E;
+        ASSERT_TRUE(ErrorBody::decode(F.Body.data(), F.Body.size(), E));
+        EXPECT_NE(E.Code, Status::Ok);
+        continue;
+      }
+      ASSERT_EQ(F.Type, MsgType::ExecuteResp) << "round " << Round;
+      ExecuteResponse R;
+      ASSERT_TRUE(ExecuteResponse::decode(F.Body.data(), F.Body.size(), R));
+      EXPECT_EQ(static_cast<std::int64_t>(R.Data.size()),
+                R.Count * R.VectorLen);
+    }
+    EXPECT_EQ(St, IoStatus::Closed) << "round " << Round;
+    ::close(Fd);
+  }
+
+  // The daemon survived every round and still computes.
+  Client C;
+  ASSERT_TRUE(C.connect(Opts.SocketPath)) << C.lastError();
+  ExecuteRequest Req = validRequest();
+  runtime::PlanSpec Spec;
+  Spec.Size = 16;
+  Spec.Want = runtime::Backend::VM;
+  std::vector<double> Y(Req.Data.size());
+  EXPECT_TRUE(C.execute(Spec, Y.data(), Req.Data.data(), 2, 32))
+      << C.lastError();
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, ExecuteFrameFuzzTest,
+                         ::testing::Range(2400u, 2408u));
+
+class ExecuteResponseFuzzTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ExecuteResponseFuzzTest, ClientNeverWritesPastY) {
+  constexpr std::int64_t Count = 2, Len = 32;
+  constexpr std::size_t N = Count * Len, Guard = 16;
+  constexpr double Canary = -12345.5;
+  std::mt19937 Gen(GetParam());
+  const std::string Path = fuzzSocketPath("client", GetParam());
+  test::FakeDaemon D(Path, [&](const Frame &F) {
+    ExecuteResponse Resp;
+    Resp.Count = Count;
+    Resp.VectorLen = Len;
+    Resp.Data.assign(N, 1.0);
+    std::vector<std::uint8_t> Bytes =
+        test::frameBytes(MsgType::ExecuteResp, F.RequestId, Resp.encode());
+    // Mostly the header's length and the response prefix; sometimes the
+    // payload's end, so the frame comes up short or long.
+    if (Gen() % 4 == 0)
+      mutateBytes(Bytes, Gen, Bytes.size() - 16);
+    else
+      mutateBytes(Bytes, Gen, 12,
+                  kHeaderBytes + ExecuteResponse::kPrefixBytes);
+    return Bytes;
+  });
+  ASSERT_TRUE(D.listening());
+  Client C;
+  ASSERT_TRUE(C.connect(Path)) << C.lastError();
+  std::vector<double> X(N, 0.5), Y(N + Guard, Canary);
+  runtime::PlanSpec Spec;
+  Spec.Size = 16;
+  Spec.Want = runtime::Backend::VM;
+  if (!C.execute(Spec, Y.data(), X.data(), Count, Len)) {
+    EXPECT_NE(C.lastStatus(), Status::Ok);
+  }
+  for (std::size_t I = N; I != N + Guard; ++I)
+    ASSERT_EQ(Y[I], Canary) << "client wrote past Y at " << I;
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, ExecuteResponseFuzzTest,
+                         ::testing::Range(2600u, 2680u));
 
 } // namespace

@@ -31,6 +31,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -102,10 +103,34 @@ TEST(Plan, WhtMatchesDenseOracle) {
   std::vector<double> Y(32);
   P->execute(Y.data(), XD.data());
   auto Want = whtMatrix(32).apply(X);
-  double Max = 0;
+  std::vector<double> WantRe(32);
   for (size_t I = 0; I != 32; ++I)
-    Max = std::max(Max, std::abs(Y[I] - Want[I].real()));
-  EXPECT_LT(Max, 1e-10);
+    WantRe[I] = Want[I].real();
+  EXPECT_LT(maxAbsDiff(Y, WantRe), 1e-10);
+}
+
+TEST(OracleCheck, AllNaNOutputFails) {
+  // A kernel that writes NaN everywhere must fail its oracle comparison.
+  // The hand-written `Max = std::max(Max, |a-b|)` loop read 0 here, since
+  // std::max(0, NaN) is 0, and passed any tolerance.
+  const auto X = randomVector(8);
+  const auto Want = dftMatrix(8).apply(X);
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> Y(16, NaN);
+  double Naive = 0;
+  for (size_t I = 0; I != Y.size(); ++I)
+    Naive = std::max(Naive, std::abs(Y[I] - (I % 2 ? Want[I / 2].imag()
+                                                   : Want[I / 2].real())));
+  EXPECT_EQ(Naive, 0.0);
+  EXPECT_FALSE(maxAbsDiff(Y, Want) < 1e-10);
+  EXPECT_TRUE(std::isinf(maxAbsDiff(Y, Want)));
+  EXPECT_TRUE(std::isinf(
+      maxAbsDiff(std::vector<Cplx>(8, Cplx(NaN, 0)), Want)));
+  // One NaN among correct real values is enough.
+  std::vector<double> Good(4, 1.0), Bad = Good;
+  Bad[2] = NaN;
+  EXPECT_EQ(maxAbsDiff(Good, Good), 0.0);
+  EXPECT_TRUE(std::isinf(maxAbsDiff(Bad, Good)));
 }
 
 TEST(Plan, InPlaceExecuteMatchesOutOfPlace) {
@@ -331,10 +356,7 @@ TEST(Plan, NativeAgreesWithVmTo1e10) {
   }
   NP->executeBatch(YN.data(), X.data(), Batch, 2);
   VP->executeBatch(YV.data(), X.data(), Batch, 2);
-  double Max = 0;
-  for (size_t I = 0; I != YN.size(); ++I)
-    Max = std::max(Max, std::abs(YN[I] - YV[I]));
-  EXPECT_LT(Max, 1e-10);
+  EXPECT_LT(maxAbsDiff(YN, YV), 1e-10);
 }
 
 TEST(Plan, BatchIsBitIdenticalAcrossThreadCounts) {
@@ -746,16 +768,11 @@ void expectOracleParity(runtime::Plan &P, std::int64_t Vectors = 4) {
     for (size_t I = 0; I != In.size(); ++I)
       In[I] = Complex ? Cplx(X[2 * I], X[2 * I + 1]) : Cplx(X[I], 0.0);
     std::vector<Cplx> Ref = M.apply(In);
-    double Max = 0;
-    for (size_t I = 0; I != Ref.size(); ++I) {
-      if (Complex) {
-        Max = std::max(Max, std::abs(Y[2 * I] - Ref[I].real()));
-        Max = std::max(Max, std::abs(Y[2 * I + 1] - Ref[I].imag()));
-      } else {
-        Max = std::max(Max, std::abs(Y[I] - Ref[I].real()));
-      }
-    }
-    EXPECT_LT(Max, 1e-10) << P.spec().key() << " vector " << V;
+    std::vector<double> RefRe(Ref.size());
+    for (size_t I = 0; I != Ref.size(); ++I)
+      RefRe[I] = Ref[I].real();
+    EXPECT_LT(Complex ? maxAbsDiff(Y, Ref) : maxAbsDiff(Y, RefRe), 1e-10)
+        << P.spec().key() << " vector " << V;
   }
 }
 

@@ -9,10 +9,12 @@
 /// round trips and malformed-input rejection, then live Server/Client
 /// integration over a real Unix-domain socket — plan/execute parity with
 /// in-process plans, typed error codes, admission control (BUSY,
-/// TOO_LARGE), stats scraping, shutdown draining, and degradation under
-/// injected faults.
+/// TOO_LARGE), stats scraping, shutdown draining, degradation under
+/// injected faults, and the in-place execute payload path.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "ServiceTestUtil.h"
 
 #include "search/PlanCache.h"
 #include "service/Client.h"
@@ -856,6 +858,148 @@ TEST_F(ServiceTest, DegradesUnderInjectedFaultInsteadOfFailing) {
   // Both upper tiers were injected away; the daemon still served a plan.
   EXPECT_EQ(PR->Backend, std::string("oracle"));
   EXPECT_TRUE(PR->Fallback);
+}
+
+//===----------------------------------------------------------------------===//
+// The in-place execute payload path
+//===----------------------------------------------------------------------===//
+
+/// Deterministic test input of \p N doubles.
+std::vector<double> wave(std::size_t N, double Phase) {
+  std::vector<double> X(N);
+  for (std::size_t I = 0; I != N; ++I)
+    X[I] = std::sin(Phase + 0.37 * static_cast<double>(I)) * 2.0 - 0.25;
+  return X;
+}
+
+TEST_F(ServiceTest, BulkAndOddPrefixExecutesMatchInProcessBitExact) {
+  // The payload ends the frame body and the server runs it in place, so
+  // the prefix length decides where the payload sits in the received
+  // buffer. Spec strings of different lengths move that offset through
+  // several residues mod 8; every case must match the in-process
+  // executeBatch of the daemon's own plan bit for bit.
+  startServer();
+  Client C;
+  ASSERT_TRUE(C.connect(Path)) << C.lastError();
+
+  struct Case {
+    runtime::PlanSpec Spec;
+    std::int64_t Count;
+  };
+  std::vector<Case> Cases;
+  Cases.push_back({vmSpec("fft", 4096), 256}); // 16 MB each way.
+  for (const char *T : {"fft", "wht", "dct2", "rdft"})
+    Cases.push_back({vmSpec(T, 64), 5});
+  runtime::PlanSpec Typed = vmSpec("fft", 64);
+  Typed.Datatype = "complex";
+  Cases.push_back({Typed, 3});
+  runtime::PlanSpec Real = vmSpec("wht", 32);
+  Real.Datatype = "real";
+  Cases.push_back({Real, 7});
+
+  std::set<std::size_t> Residues;
+  for (const Case &K : Cases) {
+    auto P = Srv->registry().acquire(K.Spec);
+    ASSERT_TRUE(P) << K.Spec.key();
+    const std::int64_t Len = P->vectorLen();
+    const std::size_t N = static_cast<std::size_t>(K.Count * Len);
+    ExecuteRequest Req;
+    Req.Spec = WireSpec::fromSpec(K.Spec);
+    Residues.insert(Req.encodePrefix(N).size() % 8);
+
+    std::vector<double> X = wave(N, 0.5), Y(N), Want(N);
+    ASSERT_TRUE(C.execute(K.Spec, Y.data(), X.data(), K.Count, Len, 2))
+        << K.Spec.key() << ": " << C.lastError();
+    P->executeBatch(Want.data(), X.data(), K.Count, 2);
+    EXPECT_EQ(std::memcmp(Y.data(), Want.data(), N * sizeof(double)), 0)
+        << K.Spec.key() << " x " << K.Count;
+  }
+  EXPECT_GE(Residues.size(), 3u) << "payload offsets cover too few residues";
+}
+
+TEST_F(ServiceTest, ClientExecuteInPlace) {
+  startServer();
+  Client C;
+  ASSERT_TRUE(C.connect(Path)) << C.lastError();
+  auto Spec = vmSpec("fft", 32);
+  auto P = Srv->registry().acquire(Spec);
+  ASSERT_TRUE(P);
+  const std::int64_t Count = 9, Len = P->vectorLen();
+  std::vector<double> X = wave(static_cast<std::size_t>(Count * Len), 1.5);
+  std::vector<double> Want(X.size());
+  P->executeBatch(Want.data(), X.data(), Count, 1);
+  ASSERT_TRUE(C.execute(Spec, X.data(), X.data(), Count, Len, 2))
+      << C.lastError();
+  EXPECT_EQ(std::memcmp(X.data(), Want.data(), X.size() * sizeof(double)), 0);
+}
+
+TEST_F(ServiceTest, TruncatedExecutePayloadIsTypedOrDropped) {
+  startServer();
+  std::string Err;
+  int Fd = connectUnix(Path, Err);
+  ASSERT_GE(Fd, 0) << Err;
+  ExecuteRequest Req;
+  Req.Spec = WireSpec::fromSpec(vmSpec("wht", 8));
+  Req.Count = 2;
+  Req.Data = wave(16, 0.0);
+  std::vector<std::uint8_t> Body = Req.encode();
+
+  // A whole frame whose prefix announces more doubles than follow it: the
+  // body is malformed, the stream is not, so the answer is typed and the
+  // connection survives.
+  std::vector<std::uint8_t> Short(Body.begin(), Body.end() - 8);
+  ASSERT_TRUE(writeFrame(Fd, MsgType::ExecuteReq, 51, Short));
+  Frame F;
+  ASSERT_EQ(readFrame(Fd, kDefaultMaxFrameBytes, F), IoStatus::Ok);
+  ASSERT_EQ(F.Type, MsgType::ErrorResp);
+  ErrorBody E;
+  ASSERT_TRUE(ErrorBody::decode(F.Body.data(), F.Body.size(), E));
+  EXPECT_EQ(E.Code, Status::BadRequest);
+  ASSERT_TRUE(writeFrame(Fd, MsgType::PingReq, 52, {}));
+  ASSERT_EQ(readFrame(Fd, kDefaultMaxFrameBytes, F), IoStatus::Ok);
+  EXPECT_EQ(F.Type, MsgType::PingResp);
+
+  // A header that promises the whole body, followed by only part of it and
+  // a hangup: the server drops the connection without answering.
+  std::vector<std::uint8_t> Bytes = test::frameBytes(MsgType::ExecuteReq, 53,
+                                                     Body);
+  ASSERT_TRUE(sendAll(Fd, Bytes.data(), Bytes.size() - 24));
+  ::shutdown(Fd, SHUT_WR);
+  EXPECT_EQ(readFrame(Fd, kDefaultMaxFrameBytes, F), IoStatus::Closed);
+  ::close(Fd);
+
+  Client C; // The daemon itself is unharmed.
+  ASSERT_TRUE(C.connect(Path)) << C.lastError();
+  EXPECT_TRUE(C.ping()) << C.lastError();
+}
+
+TEST_F(ServiceTest, MismatchedResponseShapeLeavesYUntouched) {
+  // A daemon that answers with the wrong shape — here one vector more than
+  // asked for, or the right byte count under a different VectorLen — must
+  // not get a byte into Y: the client reads the prefix, refuses, and hangs
+  // up.
+  const std::int64_t Count = 2, Len = 8;
+  for (int Variant = 0; Variant != 3; ++Variant) {
+    test::FakeDaemon D(Path, [&](const Frame &F) {
+      ExecuteResponse R;
+      R.Count = Variant == 0 ? Count + 1 : Variant == 1 ? 1 : Count;
+      R.VectorLen = Variant == 1 ? 2 * Len : Len;
+      R.Data.assign(static_cast<std::size_t>(R.Count * R.VectorLen), 7.0);
+      if (Variant == 2)
+        R.Data.pop_back(); // Announced N disagrees with Count x Len.
+      return test::frameBytes(MsgType::ExecuteResp, F.RequestId, R.encode());
+    });
+    ASSERT_TRUE(D.listening());
+    Client C;
+    ASSERT_TRUE(C.connect(Path)) << C.lastError();
+    std::vector<double> X(Count * Len, 1.0), Y(Count * Len, -3.0);
+    EXPECT_FALSE(C.execute(vmSpec("wht", Len), Y.data(), X.data(), Count,
+                           Len));
+    EXPECT_EQ(C.lastStatus(), Status::Protocol) << C.lastError();
+    EXPECT_FALSE(C.connected());
+    for (double V : Y)
+      ASSERT_EQ(V, -3.0) << "variant " << Variant;
+  }
 }
 
 } // namespace

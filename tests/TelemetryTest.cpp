@@ -8,8 +8,8 @@
 /// Tests for the telemetry subsystem: the armed mask, counter/gauge
 /// disarmed no-ops, histogram edge cases (empty, single sample, saturating
 /// overflow bucket, 8-thread concurrent recording), registry JSON shape,
-/// the span tracer ring, the StageTimer stage instrument, and the
-/// Planner's own spans.
+/// the span tracer ring, the StageTimer stage instrument, the Planner's
+/// own spans, and spld's execute-stage spans.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +17,8 @@
 
 #include "perf/NativeCompile.h"
 #include "runtime/Planner.h"
+#include "service/Client.h"
+#include "service/Server.h"
 #include "telemetry/Metrics.h"
 #include "telemetry/Trace.h"
 
@@ -26,6 +28,8 @@
 #include <cstdlib>
 #include <map>
 #include <thread>
+
+#include <unistd.h>
 #include <vector>
 
 using namespace spl;
@@ -358,6 +362,63 @@ TEST(PlannerSpans, CompileAndTrialNestInsidePlan) {
       EXPECT_GE(S.Ts + 1e-3, Parent->Ts) << S.Name;
       EXPECT_LE(S.Ts + S.Dur, Parent->Ts + Parent->Dur + 1e-3) << S.Name;
     }
+}
+
+TEST(SpldSpans, ExecuteChildrenCoverTheStage) {
+  // A bulk execute's spld.execute stage splits into decode, plan acquire,
+  // the in-place run and the send; together they must account for at
+  // least 95% of it, so a slow request says where its time went.
+  ArmedScope Armed(/*Metrics=*/true, /*Trace=*/true);
+  service::ServerOptions Opts;
+  Opts.SocketPath = "/tmp/spl-telemetry-test-" + std::to_string(getpid()) +
+                    ".sock";
+  Opts.Workers = 1; // Requests run one after another, spans in order.
+  Opts.Planner.UseWisdom = false;
+  Opts.Planner.Evaluator = "opcount";
+  service::Server Srv(Opts);
+  ASSERT_TRUE(Srv.start()) << Srv.diagnostics().dump();
+  service::Client C;
+  ASSERT_TRUE(C.connect(Opts.SocketPath)) << C.lastError();
+  runtime::PlanSpec Spec;
+  Spec.Size = 1024;
+  Spec.Want = runtime::Backend::VM;
+  const std::int64_t Count = 256, Len = 2048; // 4 MB each way.
+  std::vector<double> X(Count * Len, 0.5), Y(X.size());
+  // A one-vector request first, so the bulk one finds its plan ready. The
+  // trace is read only after stop() has joined the workers: the ring must
+  // not be reset or read while a worker may still be recording.
+  ASSERT_TRUE(C.execute(Spec, Y.data(), X.data(), 1, Len)) << C.lastError();
+  ASSERT_TRUE(C.execute(Spec, Y.data(), X.data(), Count, Len, 2))
+      << C.lastError();
+  C.disconnect();
+  Srv.stop();
+
+  // The bulk request's stage is the longest; its children are the spans of
+  // those names recorded since the previous stage (the ring keeps record
+  // order). Timestamps print with six significant digits, too coarse to
+  // test nesting by time in a long-running test binary.
+  const std::vector<SpanRecord> Spans = tracedSpans();
+  std::size_t Stage = Spans.size();
+  for (std::size_t I = 0; I != Spans.size(); ++I)
+    if (Spans[I].Name == "spld.execute" &&
+        (Stage == Spans.size() || Spans[I].Dur > Spans[Stage].Dur))
+      Stage = I;
+  ASSERT_LT(Stage, Spans.size());
+  std::map<std::string, double> Child;
+  for (std::size_t I = Stage; I-- != 0 && Spans[I].Name != "spld.execute";)
+    if (Spans[I].Name.rfind("spld.", 0) == 0)
+      Child[Spans[I].Name] += Spans[I].Dur;
+  double Covered = 0;
+  for (const char *Name : {"spld.decode", "spld.acquire", "spld.run",
+                           "spld.send"}) {
+    EXPECT_EQ(Child.count(Name), 1u) << Name;
+    Covered += Child[Name];
+  }
+  const double Dur = Spans[Stage].Dur;
+  EXPECT_GE(Covered, 0.95 * Dur)
+      << "children cover " << Covered << " of " << Dur << " us";
+  EXPECT_LE(Covered, Dur * 1.001);
+  EXPECT_EQ(telemetry::histogram("spld.queue_ns").snapshot().Count, 2u);
 }
 
 } // namespace

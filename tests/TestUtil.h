@@ -18,6 +18,8 @@
 #include "ir/Formula.h"
 #include "support/FaultInjection.h"
 
+#include <cmath>
+#include <limits>
 #include <random>
 #include <string>
 #include <vector>
@@ -57,15 +59,38 @@ inline std::vector<double> randomRealVector(size_t N, unsigned Seed = 54321) {
   return V;
 }
 
-/// Largest elementwise |a-b|.
-inline double maxAbsDiff(const std::vector<Cplx> &A,
-                         const std::vector<Cplx> &B) {
-  if (A.size() != B.size())
-    return 1e300;
+/// Largest elementwise |a-b| over \p N entries of \p A and \p B, or +inf
+/// when any difference is NaN: `std::max(M, NaN)` keeps M, so a plain max
+/// would let an all-NaN output pass every tolerance check.
+template <typename T>
+inline double maxAbsDiff(const T *A, const T *B, size_t N) {
   double M = 0;
-  for (size_t I = 0; I != A.size(); ++I)
-    M = std::max(M, std::abs(A[I] - B[I]));
+  for (size_t I = 0; I != N; ++I) {
+    const double D = std::abs(A[I] - B[I]);
+    if (std::isnan(D))
+      return std::numeric_limits<double>::infinity();
+    M = std::max(M, D);
+  }
   return M;
+}
+
+/// maxAbsDiff over whole vectors; a size mismatch reads as +inf too.
+template <typename T>
+inline double maxAbsDiff(const std::vector<T> &A, const std::vector<T> &B) {
+  if (A.size() != B.size())
+    return std::numeric_limits<double>::infinity();
+  return maxAbsDiff(A.data(), B.data(), A.size());
+}
+
+/// The real vector \p Y (interleaved complex pairs) against complex \p Want.
+inline double maxAbsDiff(const std::vector<double> &Y,
+                         const std::vector<Cplx> &Want) {
+  if (Y.size() != 2 * Want.size())
+    return std::numeric_limits<double>::infinity();
+  std::vector<Cplx> Got(Want.size());
+  for (size_t I = 0; I != Want.size(); ++I)
+    Got[I] = Cplx(Y[2 * I], Y[2 * I + 1]);
+  return maxAbsDiff(Got, Want);
 }
 
 } // namespace test

@@ -76,6 +76,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -121,11 +122,36 @@ void fillRandom(double *X, std::int64_t Len, unsigned Seed) {
     X[I] = Dist(Gen);
 }
 
+/// Largest |a-b|, or +inf when any difference is NaN (a plain max skips
+/// NaN, which would let an all-NaN output verify).
 double maxAbsDiff(const double *A, const double *B, std::int64_t Len) {
   double M = 0;
-  for (std::int64_t I = 0; I != Len; ++I)
-    M = std::max(M, std::fabs(A[I] - B[I]));
+  for (std::int64_t I = 0; I != Len; ++I) {
+    const double D = std::fabs(A[I] - B[I]);
+    if (std::isnan(D))
+      return HUGE_VAL;
+    M = std::max(M, D);
+  }
   return M;
+}
+
+/// Warm best-of-k batch timing, like the single-vector figure: the first
+/// run also pays first-touch page faults and cold caches, so the fastest
+/// of up to 3 runs is reported. \p Run executes one whole batch and
+/// returns false when it did not finish. Only the first run has to finish;
+/// the repeats stop once \p DL has expired or a repeat fails. Returns the
+/// best seconds, or -1 when the first run failed.
+double bestBatchSeconds(const support::Deadline &DL,
+                        const std::function<bool()> &Run) {
+  double Best = -1;
+  for (int R = 0; R != 3 && (R == 0 || !DL.expired()); ++R) {
+    Timer Wall;
+    if (!Run())
+      break;
+    const double S = Wall.seconds();
+    Best = Best < 0 ? S : std::min(Best, S);
+  }
+  return Best;
 }
 
 /// Parses "32x32" / "8x4x2" into dims; false on anything malformed.
@@ -189,11 +215,15 @@ int runConnected(const std::string &Socket, const runtime::PlanSpec &Spec,
     runtime::AlignedBuffer Y(static_cast<size_t>(Batch * Len));
     fillRandom(X.data(), Batch * Len, 7);
 
-    Timer BatchWall;
-    if (!Client.executeRetryBusy(Spec, Y.data(), X.data(), Batch, Len,
-                                 Threads))
+    const double BatchSeconds =
+        bestBatchSeconds(Client.deadline(), [&] {
+          return Client.executeRetryBusy(Spec, Y.data(), X.data(), Batch, Len,
+                                         Threads);
+        });
+    // A repeat may fail only once the budget has run out.
+    if (BatchSeconds < 0 || (Client.lastStatus() != service::Status::Ok &&
+                             !Client.deadline().expired()))
       return clientFail(Client, "execute request failed");
-    double BatchSeconds = BatchWall.seconds();
     std::printf("batch %lld via spld: %.3f s (%.1f kvec/s)\n",
                 static_cast<long long>(Batch), BatchSeconds,
                 1e-3 * static_cast<double>(Batch) / BatchSeconds);
@@ -509,16 +539,17 @@ int main(int Argc, char **Argv) {
     fillRandom(SX.data(), Total, 11);
   }
 
-  Timer BatchWall;
-  runtime::ExecStatus BS =
-      Strided ? Plan->executeBatch(SY.data(), SX.data(), BL, DL, Threads)
-              : Plan->executeBatch(Y.data(), X.data(), Batch, DL, Threads);
-  if (BS == runtime::ExecStatus::DeadlineExceeded) {
+  const double BatchSeconds = bestBatchSeconds(DL, [&] {
+    return (Strided
+                ? Plan->executeBatch(SY.data(), SX.data(), BL, DL, Threads)
+                : Plan->executeBatch(Y.data(), X.data(), Batch, DL,
+                                     Threads)) == runtime::ExecStatus::Ok;
+  });
+  if (BatchSeconds < 0) {
     std::fprintf(stderr, "splrun: error: the --deadline-ms budget expired "
                          "before the batch finished\n");
     return tools::ExitDeadline;
   }
-  double BatchSeconds = BatchWall.seconds();
   const std::int64_t Timed = Strided ? HowMany : Batch;
   std::printf("batch %lld%s @ %d thread%s: %.3f s (%.1f kvec/s)\n",
               static_cast<long long>(Timed),
